@@ -9,7 +9,6 @@ integer Laurent polynomials in q^(1/2); every identity the package
 verifies is checked by bit-equality of canonical forms.
 """
 
-from ._kernels import BACKEND as KERNEL_BACKEND
 from .annulus import AnnulusModel
 from .disc import (
     DiscElement,
@@ -64,6 +63,10 @@ from .surface import (
 )
 
 __version__ = "0.1.0"
+
+#: The arithmetic kernel in use.  There is one, in pure Python; the name is
+#: kept so that saved results record it.
+KERNEL_BACKEND = "python"
 
 __all__ = [
     "AnnulusModel",

@@ -1,14 +1,12 @@
-"""Pure Python arithmetic kernels.
+"""Arithmetic kernels: the coefficient ring and the twisted torus product.
 
 Coefficients are sparse Laurent polynomials in v = q^(1/2), stored as plain
 dicts mapping v-exponent (int) to a nonzero integer.  Torus elements are
-dicts mapping exponent tuples to coefficient dicts.  Everything here works
-on builtins only so the compiled kernel can be swapped in transparently.
+dicts mapping exponent tuples to coefficient dicts.  Every exact identity
+in the package is computed through these five functions.
 """
 
 from __future__ import annotations
-
-BACKEND = "python"
 
 
 def coeff_add(a: dict, b: dict) -> dict:

@@ -7,9 +7,10 @@ acceptance suites.
 
 Inline JSON arguments may instead name a file by prefixing the path
 with ``@``.  Exit codes: 0 on success, 1 when a verification reports a
-failure, 2 on malformed or otherwise unusable input.  All emitted JSON
-re-parses into equal values and lists terms in sorted order, so runs
-are diffable.
+failure, 2 on malformed or otherwise unusable input, 3 on an internal
+error (any other exception, reported on stderr with its type).  All
+emitted JSON re-parses into equal values and lists terms in sorted
+order, so runs are diffable.
 """
 
 from __future__ import annotations
@@ -33,9 +34,19 @@ class InputError(ValueError):
     """Unusable command-line input; reported on stderr with exit code 2."""
 
 
+# What a ``from_json`` decoder raises on a payload of the wrong shape.
+_PAYLOAD_ERRORS = (TypeError, ValueError, KeyError, IndexError, AttributeError)
+
+
 # ---------------------------------------------------------------------------
 # Input decoding
 # ---------------------------------------------------------------------------
+
+
+def _disc_n(args) -> int:
+    if args.n < 3:
+        raise InputError("--n: a disc needs at least 3 marked points")
+    return args.n
 
 
 def _load_json(label: str, text: str):
@@ -59,7 +70,10 @@ def _as_word(n: int, label: str, data) -> list[tuple[int, int]]:
     for item in data:
         if not (isinstance(item, list) and len(item) == 2):
             raise InputError(f"{label}: chord {item!r} is not a pair")
-        word.append(disc.normalize_chord(n, (item[0], item[1])))
+        try:
+            word.append(disc.normalize_chord(n, (item[0], item[1])))
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"{label}: {exc}") from exc
     return word
 
 
@@ -69,7 +83,13 @@ def _load_skein(n: int, label: str, text: str) -> DiscElement:
     if isinstance(data, list):
         return disc.reduce_word(n, _as_word(n, label, data))
     if isinstance(data, dict):
-        return DiscElement.from_json(data)
+        try:
+            el = DiscElement.from_json(data)
+        except _PAYLOAD_ERRORS as exc:
+            raise InputError(f"{label}: {exc}") from exc
+        if el.n != n:
+            raise InputError(f"{label}: element lives on {el.n} marked points, not {n}")
+        return el
     raise InputError(f"{label}: expected a chord list or an element object")
 
 
@@ -107,7 +127,7 @@ def _load_seed(args) -> QuantumSeed:
         data = _load_json("--state", args.state)
         try:
             return QuantumSeed.from_json(data)
-        except (TypeError, ValueError, KeyError) as exc:
+        except _PAYLOAD_ERRORS as exc:
             raise InputError(f"--state: {exc}") from exc
     raise InputError("provide --preset or --state")
 
@@ -123,7 +143,7 @@ def _load_surface(label: str, text: str):
     data = _load_json(label, text)
     try:
         return surf.TriangulatedSurface.from_json(data)
-    except (TypeError, ValueError, KeyError, IndexError) as exc:
+    except _PAYLOAD_ERRORS as exc:
         raise InputError(f"{label}: {exc}") from exc
 
 
@@ -169,51 +189,55 @@ def _seed_text(seed: QuantumSeed) -> str:
 
 
 def cmd_skein_reduce(args) -> int:
-    word = _as_word(args.n, "--word", _load_json("--word", args.word))
+    n = _disc_n(args)
+    word = _as_word(n, "--word", _load_json("--word", args.word))
     rng = None
     if args.randomize:
         rng = random.Random(args.seed)
-    el = disc.reduce_word(args.n, word, rng=rng)
+    el = disc.reduce_word(n, word, rng=rng)
     _emit(args, el.to_json(), text=repr(el))
     return 0
 
 
 def cmd_skein_product(args) -> int:
+    n = _disc_n(args)
     if args.word is not None:
         if args.x is not None or args.y is not None:
             raise InputError("use either --word or --x/--y, not both")
-        word = _as_word(args.n, "--word", _load_json("--word", args.word))
-        el = disc.reduce_word(args.n, word)
+        word = _as_word(n, "--word", _load_json("--word", args.word))
+        el = disc.reduce_word(n, word)
     else:
         if args.x is None or args.y is None:
             raise InputError("provide --word, or both --x and --y")
-        x = _load_skein(args.n, "--x", args.x)
-        y = _load_skein(args.n, "--y", args.y)
+        x = _load_skein(n, "--x", args.x)
+        y = _load_skein(n, "--y", args.y)
         el = disc.product(x, y)
     _emit(args, el.to_json(), text=repr(el))
     return 0
 
 
 def cmd_skein_expand(args) -> int:
-    delta = _load_delta(args.n, "--delta", args.delta)
-    x = _load_skein(args.n, "--x", args.x)
+    n = _disc_n(args)
+    delta = _load_delta(n, "--delta", args.delta)
+    x = _load_skein(n, "--x", args.x)
     expansion = disc.expand_laurent(x, delta)
     _emit(args, expansion.to_json(), text=repr(expansion))
     return 0
 
 
 def cmd_skein_mu(args) -> int:
-    x = _load_skein(args.n, "--x", args.x)
+    n = _disc_n(args)
+    x = _load_skein(n, "--x", args.x)
     if args.delta is not None:
         if args.y is not None:
             raise InputError("use either --y or --delta, not both")
-        delta = _load_delta(args.n, "--delta", args.delta)
-        vec = disc.mu_delta(args.n, delta, x)
+        delta = _load_delta(n, "--delta", args.delta)
+        vec = disc.mu_delta(n, delta, x)
         _emit(args, {"mu_delta": list(vec)}, text="mu_delta: " + json.dumps(list(vec)))
         return 0
     if args.y is None:
         raise InputError("provide --y or --delta")
-    y = _load_skein(args.n, "--y", args.y)
+    y = _load_skein(n, "--y", args.y)
     value = disc.mu(x, y)
     _emit(args, {"mu": value}, text=f"mu: {value}")
     return 0
@@ -278,6 +302,8 @@ def cmd_seed_enumerate(args) -> int:
 
 def cmd_seed_member(args) -> int:
     seed = _load_seed(args)
+    if not seed.is_initial():
+        raise InputError("--state: membership is tested against the initial seed")
     data = _load_json("--element", args.element)
     if isinstance(data, list):
         if len(data) != seed.n or not all(isinstance(v, int) for v in data):
@@ -286,7 +312,7 @@ def cmd_seed_member(args) -> int:
     else:
         try:
             el = TorusElement.from_json(data)
-        except (TypeError, ValueError, KeyError) as exc:
+        except _PAYLOAD_ERRORS as exc:
             raise InputError(f"--element: {exc}") from exc
         if el.form.matrix != seed.ambient.matrix:
             raise InputError("--element: element and seed use different skew forms")
@@ -371,12 +397,10 @@ def cmd_annulus_verify(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    try:
-        results = verify.run(args.suites or ["all"], seed=args.seed)
-    except KeyError:
-        raise InputError(
-            "unknown suite; available: all, " + ", ".join(verify.names())
-        ) from None
+    suites = args.suites or ["all"]
+    if any(s != "all" and s not in verify.names() for s in suites):
+        raise InputError("unknown suite; available: all, " + ", ".join(verify.names()))
+    results = verify.run(suites, seed=args.seed)
     ok = all(verify.passed(r) for r in results)
     if args.mode == "json":
         _emit(args, {"ok": ok, "results": results})
@@ -559,9 +583,9 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, KeyError, NotImplementedError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
+    except Exception as exc:  # noqa: BLE001 - reported, never passed off as bad input
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from qskein import cli
+from qskein import cli, verify
 from qskein.qseed import QuantumSeed
 from qskein.qtorus import TorusElement
 from qskein.surface import TriangulatedSurface
@@ -87,6 +87,34 @@ class TestSkein:
         assert code == 2
         assert "cross" in err
 
+    @pytest.mark.parametrize("n, word", [("4", "[[1,9]]"), ("2", "[[1,2]]")])
+    def test_out_of_range_chord_is_an_input_error(self, capsys, n, word):
+        code, _, err = run_cli(capsys, "skein", "reduce", "--n", n, "--word", word)
+        assert code == 2
+        assert "input error" in err
+
+    @pytest.mark.parametrize("terms", ['[1]', '[{"chords": [[1, 3]], "coeff": [1]}]'])
+    def test_malformed_element_payload_is_an_input_error(self, capsys, terms):
+        x = '{"n": 4, "terms": %s}' % terms
+        code, _, err = run_cli(capsys, "skein", "mu", "--n", "4", "--x", x, "--y", "[[1,3]]")
+        assert code == 2
+        assert err.startswith("input error: --x:")
+
+    def test_element_on_another_disc_is_an_input_error(self, capsys):
+        other = '{"n": 5, "terms": [{"chords": [[2, 5]], "coeff": "1"}]}'
+        code, _, err = run_cli(capsys, "skein", "mu", "--n", "4", "--x", other, "--y", "[[1,3]]")
+        assert code == 2
+        assert "5 marked points" in err
+
+    def test_internal_error_is_not_an_input_error(self, capsys, monkeypatch):
+        def broken(*args, **kwargs):
+            raise ValueError("invariant broken")
+
+        monkeypatch.setattr(cli.disc, "reduce_word", broken)
+        code, _, err = run_cli(capsys, "skein", "reduce", "--n", "4", "--word", "[[1,3]]")
+        assert code == 3
+        assert err.strip() == "internal error: ValueError: invariant broken"
+
     def test_deterministic_output(self, capsys):
         args = ("--json", "skein", "reduce", "--n", "6", "--word", "[[1,4],[2,5],[3,6]]")
         _, first, _ = run_cli(capsys, *args)
@@ -135,6 +163,15 @@ class TestSeed:
         )
         assert code == 1
         assert json.loads(out) == {"member": False}
+
+    def test_member_of_a_mutated_seed_is_an_input_error(self, capsys):
+        _, state, _ = run_cli(capsys, "--json", "seed", "mutate", "--preset", "pentagon", "--at", "1")
+        code, _, err = run_cli(
+            capsys, "seed", "member", "--state", state.strip(), "--element", "[0, 1, 0, 0, 0, 0, 0]"
+        )
+        assert code == 2
+        assert "input error" in err
+        assert "initial seed" in err
 
     def test_mutate_at_frozen_index_is_an_input_error(self, capsys):
         code, _, err = run_cli(capsys, "seed", "mutate", "--preset", "pentagon", "--at", "0")
@@ -206,6 +243,16 @@ class TestVerifyVerbs:
         code, _, err = run_cli(capsys, "verify", "nonsense")
         assert code == 2
         assert "unknown suite" in err
+
+    def test_key_error_inside_a_check_is_internal(self, capsys, monkeypatch):
+        def broken(rng):
+            raise KeyError("missing")
+
+        checks = [(n, b, broken if n == "plucker" else fn) for n, b, fn in verify.CHECKS]
+        monkeypatch.setattr(verify, "CHECKS", checks)
+        code, _, err = run_cli(capsys, "verify", "plucker")
+        assert code == 3
+        assert err.strip() == "internal error: KeyError: 'missing'"
 
     def test_verify_text_lines(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "catalan")

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qskein._kernels import coeff_add, torus_mul
 from qskein.qcoeff import DivisionFailure, QCoeff
 from qskein.qtorus import SkewForm, TorusElement
 
@@ -145,3 +146,20 @@ class TestJson:
         assert set(data) == {"rank", "lambda", "terms"}
         assert data["rank"] == 3
         assert data["terms"][0]["exp"] == [1, 0, -1]
+
+
+class TestKernelContract:
+    """The raw kernels on builtin dicts, below TorusElement."""
+
+    def test_zero_results_filtered(self):
+        assert coeff_add({1: 2}, {1: -2}) == {}
+        lam = ((0, 1), (-1, 0))
+        got = torus_mul({(1, 0): {0: 1}}, {(0, 1): {0: 1}}, lam)
+        assert got == {(1, 1): {1: 1}}
+
+    def test_commutation_twist_sign(self):
+        lam = ((0, 1), (-1, 0))
+        xy = torus_mul({(1, 0): {0: 1}}, {(0, 1): {0: 1}}, lam)
+        yx = torus_mul({(0, 1): {0: 1}}, {(1, 0): {0: 1}}, lam)
+        assert xy == {(1, 1): {1: 1}}
+        assert yx == {(1, 1): {-1: 1}}
