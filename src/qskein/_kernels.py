@@ -3,10 +3,34 @@
 Coefficients are sparse Laurent polynomials in v = q^(1/2), stored as plain
 dicts mapping v-exponent (int) to a nonzero integer.  Torus elements are
 dicts mapping exponent tuples to coefficient dicts.  Every exact identity
-in the package is computed through these five functions.
+in the package is computed through these five functions, and every one of
+them takes and returns these dicts.
+
+``torus_mul`` does its coefficient arithmetic on packed integers instead of
+dicts.  Let g be the gcd of the exponent gaps inside every coefficient of
+both operands (0 when every coefficient has one term; on the annulus g = 8).
+A coefficient with lowest exponent m is packed once as the pair
+
+    (m, sum of c * 2^(k * (e - m) / g) over its terms c * v^e),
+
+so one Python int multiply is one coefficient product, and the twist
+v^Lambda(alpha, beta) only moves the base m.  Products landing on the same
+exponent gamma and the same base residue mod g (the base itself when g = 0)
+are summed in one accumulator, the lower-based one shifted left to align.
+Each accumulator is read back once, k bits a digit, with a signed borrow.
+
+The digit width is k = (L1x * L1y).bit_length() + 1, with L1x and L1y the
+sums of |c| over all terms of each operand.  Every output coefficient is a
+sum of products ca * cb over distinct term pairs, so its size is at most
+L1x * L1y < 2^(k-1).  Each digit therefore lies strictly inside
+(-2^(k-1), 2^(k-1)), the signed base-2^k expansion is unique, and decoding
+is exact for integers of any size.  A one-term coefficient packs to itself.
 """
 
 from __future__ import annotations
+
+from math import gcd
+from operator import add, mul
 
 
 def coeff_add(a: dict, b: dict) -> dict:
@@ -47,15 +71,51 @@ def coeff_shift(a: dict, k: int) -> dict:
 
 def torus_mul(xterms: dict, yterms: dict, lam: tuple) -> dict:
     """Multiply two torus elements: M^a * M^b = v^(lam(a,b)) * M^(a+b)."""
-    out: dict = {}
+    g = 0
+    bound = 1
+    for terms in (xterms, yterms):
+        l1 = 0
+        for c in terms.values():
+            m = min(c)
+            g = gcd(g, *[e - m for e in c])
+            l1 += sum(map(abs, c.values()))
+        bound *= l1
+    k = bound.bit_length() + 1
+    step = g or 1
+
+    def pack(c):
+        m = min(c)
+        return m, sum(x << (e - m) // step * k for e, x in c.items())
+
+    xs = [(alpha, *pack(c)) for alpha, c in xterms.items()]
+    acc: dict = {}
     for beta, cb in yterms.items():
-        lamb = [sum(row[j] * bj for j, bj in enumerate(beta) if bj) for row in lam]
-        for alpha, ca in xterms.items():
-            s = sum(ai * li for ai, li in zip(alpha, lamb) if ai)
-            gamma = tuple(x + y for x, y in zip(alpha, beta))
-            prod = coeff_mul(ca, cb)
-            if s:
-                prod = {k + s: c for k, c in prod.items()}
-            cur = out.get(gamma)
-            out[gamma] = coeff_add(cur, prod) if cur is not None else prod
-    return {g: c for g, c in out.items() if c}
+        mb, pb = pack(cb)
+        lamb = [sum(map(mul, row, beta)) for row in lam]
+        for alpha, ma, pa in xs:
+            base = ma + mb + sum(map(mul, alpha, lamb))
+            key = (tuple(map(add, alpha, beta)), base % g if g else base)
+            prod = pa * pb
+            cur = acc.get(key)
+            if cur is None:
+                acc[key] = (base, prod)
+            elif base >= cur[0]:
+                acc[key] = (cur[0], cur[1] + (prod << (base - cur[0]) // step * k))
+            else:
+                acc[key] = (base, (cur[1] << (cur[0] - base) // step * k) + prod)
+    out: dict = {}
+    half = 1 << (k - 1)
+    mask = (1 << k) - 1
+    for (gamma, _), (e, v) in acc.items():
+        if not v:
+            continue
+        c = out.setdefault(gamma, {})
+        while v:
+            d = v & mask
+            if d >= half:
+                d -= mask + 1
+            if d:
+                c[e] = d
+            v = (v - d) >> k
+            e += g
+    return out

@@ -286,6 +286,10 @@ def cmd_seed_freeze(args) -> int:
 
 
 def cmd_seed_enumerate(args) -> int:
+    if args.max_seeds < 1:
+        raise InputError("--max-seeds must be at least 1")
+    if args.max_depth < 0:
+        raise InputError("--max-depth must be nonnegative")
     seed = _load_seed(args)
     seeds, truncated = qseed.enumerate_seeds(
         seed, max_seeds=args.max_seeds, max_depth=args.max_depth

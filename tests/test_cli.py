@@ -150,6 +150,30 @@ class TestSeed:
         assert data["count"] == 5
         assert data["truncated"] is False
 
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_enumerate_rejects_max_seeds_below_one(self, capsys, value):
+        code, out, err = run_cli(
+            capsys, "seed", "enumerate", "--preset", "pentagon", "--max-seeds", value
+        )
+        assert code == 2
+        assert out == ""
+        assert "input error: --max-seeds" in err
+
+    def test_enumerate_rejects_negative_max_depth(self, capsys):
+        code, out, err = run_cli(
+            capsys, "seed", "enumerate", "--preset", "pentagon", "--max-depth", "-3"
+        )
+        assert code == 2
+        assert out == ""
+        assert "input error: --max-depth" in err
+
+    def test_enumerate_at_depth_zero_keeps_the_initial_seed(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "--json", "seed", "enumerate", "--preset", "pentagon", "--max-depth", "0"
+        )
+        assert code == 0
+        assert json.loads(out)["count"] == 1
+
     def test_member_exit_codes(self, capsys):
         code, out, _ = run_cli(
             capsys, "--json", "seed", "member", "--preset", "pentagon", "--element",
@@ -276,6 +300,16 @@ class TestConsoleEntry:
     def test_module_invocation_exit_code(self):
         proc = subprocess.run(
             [sys.executable, "-m", "qskein.cli", "verify", "plucker"],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0
+        assert "PASS plucker" in proc.stdout
+
+    def test_package_invocation_exit_code(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "qskein", "verify", "plucker"],
             capture_output=True,
             text=True,
             timeout=120,
