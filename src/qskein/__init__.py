@@ -57,6 +57,7 @@ from .surface import (
     cut,
     disjoint_union,
     flip,
+    from_chords,
     lambda_matrix,
     q_matrix,
     to_seed,
@@ -100,6 +101,7 @@ __all__ = [
     "expand_laurent",
     "flip",
     "flip_diagonal",
+    "from_chords",
     "is_acyclic",
     "is_boundary_chord",
     "lambda_matrix",

@@ -349,7 +349,7 @@ def cmd_surface_flip(args) -> int:
     s = _load_surface("--surface", args.surface)
     try:
         flipped = surf.flip(s, args.arc)
-    except (surf.FlipError, IndexError) as exc:
+    except surf.FlipError as exc:
         raise InputError(f"--arc: {exc}") from exc
     _emit(args, flipped.to_json(), text=_surface_text(flipped))
     return 0
@@ -359,7 +359,7 @@ def cmd_surface_cut(args) -> int:
     s = _load_surface("--surface", args.surface)
     try:
         cut = surf.cut(s, args.arc)
-    except (surf.CutError, NotImplementedError, IndexError) as exc:
+    except (surf.CutError, NotImplementedError) as exc:
         raise InputError(f"--arc: {exc}") from exc
     _emit(args, cut.to_json(), text=_surface_text(cut))
     return 0

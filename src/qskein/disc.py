@@ -19,10 +19,12 @@ pairing of arc ends at shared marked points (v = q^(1/2)).
 
 from __future__ import annotations
 
+import functools
 import json
 import random
 from typing import Iterable, Iterator
 
+from . import surface
 from ._kernels import coeff_add, coeff_mul, coeff_neg, coeff_shift
 from .qcoeff import QCoeff, parse as parse_coeff, render as render_coeff
 from .qtorus import SkewForm, TorusElement
@@ -477,8 +479,9 @@ def mu(x: DiscElement, y: DiscElement) -> int:
 
 def mu_delta(n: int, delta, x: DiscElement) -> tuple[int, ...]:
     arcs = [normalize_chord(n, c) for c in delta]
-    singles = [DiscElement.basis(n, [c]) for c in arcs]
-    return tuple(mu(s, x) for s in singles)
+    if x.is_zero():
+        return (0,) * len(arcs)
+    return tuple(max(mu_keys(((c, 1),), key) for key in x._terms) for c in arcs)
 
 
 # -- smoothing and leading terms -------------------------------------------
@@ -597,63 +600,25 @@ def flip_diagonal(n: int, delta, d) -> tuple[tuple[Chord, ...], Chord]:
     """
     arcs = [normalize_chord(n, c) for c in delta]
     d = normalize_chord(n, d)
-    if is_boundary_chord(n, d):
-        raise ValueError(f"boundary chord {d} cannot be flipped")
     if d not in arcs:
         raise ValueError(f"{d} is not an arc of the triangulation")
-    present = set(arcs)
-    a, b = d
-    apexes = []
-    for side in (range(a + 1, b), [*range(b + 1, n + 1), *range(1, a)]):
-        found = [
-            c
-            for c in side
-            if (min(a, c), max(a, c)) in present and (min(b, c), max(b, c)) in present
-        ]
-        if len(found) != 1:
-            raise ValueError(f"triangulation has no unique triangle on one side of {d}")
-        apexes.append(found[0])
-    new = normalize_chord(n, (apexes[0], apexes[1]))
-    out = list(arcs)
-    out[out.index(d)] = new
-    return tuple(out), new
-
-
-def lambda_matrix_chords(n: int, arcs) -> list[list[int]]:
-    arcs = [normalize_chord(n, c) for c in arcs]
-    return [[lam_pair(n, x, y) for y in arcs] for x in arcs]
-
-
-def q_matrix_chords(n: int, arcs) -> list[list[int]]:
-    """Skew adjacency matrix of a triangulation.
-
-    Entry (x, y) is -1 summed over shared marked points where the end of
-    x is immediately clockwise of the end of y in the fan of arcs of the
-    triangulation, +1 for the reverse (note the sign reversal relative
-    to the orientation pairing).
-    """
-    arcs = [normalize_chord(n, c) for c in arcs]
-    index = {c: i for i, c in enumerate(arcs)}
-    if len(index) != len(arcs):
-        raise ValueError("triangulation arcs must be distinct")
-    q = [[0] * len(arcs) for _ in arcs]
-    for p in range(1, n + 1):
-        fan = sorted((c for c in arcs if p in c), key=lambda c: (p - _other(c, p)) % n)
-        for e1, e2 in zip(fan, fan[1:]):
-            q[index[e1]][index[e2]] -= 1
-            q[index[e2]][index[e1]] += 1
-    return q
-
-
-def _other(c: Chord, p: int) -> int:
-    return c[1] if c[0] == p else c[0]
+    j = arcs.index(d)
+    a, b = surface.flip(surface.from_chords(n, arcs), j).arcs[j].ends
+    arcs[j] = normalize_chord(n, (a + 1, b + 1))
+    return tuple(arcs), arcs[j]
 
 
 # -- Laurent expansion ------------------------------------------------------
 
 
 def triangulation_form(n: int, delta) -> SkewForm:
-    return SkewForm(lambda_matrix_chords(n, delta))
+    return SkewForm(surface.lambda_matrix(surface.from_chords(n, delta)))
+
+
+@functools.lru_cache(maxsize=256)
+def _triangulation(n: int, arcs: tuple[Chord, ...]) -> tuple[dict[Chord, int], SkewForm]:
+    """Chord -> arc index map and torus form of a triangulation, built once."""
+    return {c: i for i, c in enumerate(arcs)}, triangulation_form(n, arcs)
 
 
 def expand_laurent(x: DiscElement, delta) -> TorusElement:
@@ -663,16 +628,15 @@ def expand_laurent(x: DiscElement, delta) -> TorusElement:
     divides back inside the torus.
     """
     n = x.n
-    arcs = [normalize_chord(n, c) for c in delta]
-    index = {c: i for i, c in enumerate(arcs)}
-    form = triangulation_form(n, arcs)
+    arcs = tuple(normalize_chord(n, c) for c in delta)
+    index, form = _triangulation(n, arcs)
     if x.is_zero():
         return TorusElement.zero(form)
     m = mu_delta(n, arcs, x)
     denom_key = tuple(sorted((c, k) for c, k in zip(arcs, m) if k))
     denom = DiscElement._raw(n, {denom_key: {0: 1}})
     numer = product(denom, x)
-    poly = TorusElement.zero(form)
+    terms = {}
     for key, c in numer._terms.items():
         alpha = [0] * len(arcs)
         for ch, w in key:
@@ -681,18 +645,11 @@ def expand_laurent(x: DiscElement, delta) -> TorusElement:
                     f"product is not supported on the triangulation: chord {ch} appears"
                 )
             alpha[index[ch]] = w
-        poly = poly + TorusElement.monomial(form, tuple(alpha), QCoeff(c))
+        terms[tuple(alpha)] = c
     shiftmono = TorusElement.monomial(form, tuple(-k for k in m))
-    return shiftmono * poly
+    return shiftmono * TorusElement._raw(form, terms)
 
 
 def triangulation_seed(n: int, delta):
     """Initial quantum seed of a triangulation (frame = basis monomials)."""
-    from .qseed import QuantumSeed
-
-    arcs = [normalize_chord(n, c) for c in delta]
-    lam = lambda_matrix_chords(n, arcs)
-    q = q_matrix_chords(n, arcs)
-    ex = tuple(i for i, c in enumerate(arcs) if not is_boundary_chord(n, c))
-    b = [[q[k][j] for j in ex] for k in range(len(arcs))]
-    return QuantumSeed.initial(SkewForm(lam), b, ex)
+    return surface.to_seed(surface.from_chords(n, delta))

@@ -133,8 +133,9 @@ class QCoeff:
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return result
 
     def shift(self, k: int) -> QCoeff:

@@ -154,16 +154,7 @@ class QuantumSeed:
         xprime = numer.exact_divide_left(self.frame[i])
         frame = self.frame[:i] + (xprime,) + self.frame[i + 1 :]
 
-        newb = []
-        for k in range(self.n):
-            row = []
-            for c, j in enumerate(self.ex):
-                if k == i or j == i:
-                    row.append(-self.b[k][c])
-                else:
-                    x, y = self.b[k][col], self.b[i][c]
-                    row.append(self.b[k][c] + (abs(x) * y + x * abs(y)) // 2)
-            newb.append(row)
+        newb = _mutate_columns(self.b, i, col)
 
         newlam = [list(row) for row in self.lam.matrix]
         for j in range(self.n):
@@ -375,16 +366,26 @@ def matrix_mutate(a, i: int) -> list[list[int]]:
     n = len(a)
     if not 0 <= i < n:
         raise ValueError(f"index {i} out of range")
+    return _mutate_columns(a, i, i)
+
+
+def _mutate_columns(b, i: int, col: int) -> list[list[int]]:
+    """Matrix mutation at index i of rows b, whose column col belongs to i.
+
+    Row i and column col change sign; every other entry b[k][c] gains
+    (|b[k][col]| b[i][c] + b[k][col] |b[i][c]|) / 2.
+    """
     out = []
-    for k in range(n):
-        row = []
-        for l in range(n):
-            if k == i or l == i:
-                row.append(-a[k][l])
+    for k, row in enumerate(b):
+        x = row[col]
+        new = []
+        for c, entry in enumerate(row):
+            if k == i or c == col:
+                new.append(-entry)
             else:
-                x, y = a[k][i], a[i][l]
-                row.append(a[k][l] + (abs(x) * y + x * abs(y)) // 2)
-        out.append(row)
+                y = b[i][c]
+                new.append(entry + (abs(x) * y + x * abs(y)) // 2)
+        out.append(new)
     return out
 
 

@@ -441,6 +441,39 @@ def build_disc(n: int) -> TriangulatedSurface:
     return s
 
 
+def from_chords(n: int, arcs) -> TriangulatedSurface:
+    """The triangulated disc whose arc i is the chord arcs[i].
+
+    Chords join marked points 1..n, numbered clockwise; marked point p is
+    surface point p - 1.  The fan at p orders the other endpoints u of
+    its chords by (p - u) mod n, and each triangle a < b < c is the dart
+    cycle a -> b -> c -> a.  Chords that do not triangulate the n-gon
+    (crossing, missing or repeated) fail validation with ValueError.
+    """
+    if n < 3:
+        raise ValueError("a triangulated disc needs at least 3 marked points")
+    chords = [tuple(sorted((int(c[0]), int(c[1])))) for c in arcs]
+    for a, b in chords:
+        if not 1 <= a < b <= n:
+            raise ValueError(f"({a}, {b}) is not a chord of the {n}-gon")
+    index = {c: i for i, c in enumerate(chords)}
+    fans: list[list[ArcEnd]] = [[] for _ in range(n)]
+    for i, (a, b) in enumerate(chords):
+        fans[a - 1].append((i, 0))
+        fans[b - 1].append((i, 1))
+    for p, fan in enumerate(fans, 1):
+        fan.sort(key=lambda end: (p - chords[end[0]][1 - end[1]]) % n)
+    triangles = [
+        ((index[(a, b)], 0), (index[(b, c)], 0), (index[(a, c)], 1))
+        for a, b in index
+        for c in range(b + 1, n + 1)
+        if (b, c) in index and (a, c) in index
+    ]
+    return TriangulatedSurface(
+        [(b - a in (1, n - 1), (a - 1, b - 1)) for a, b in chords], fans, triangles
+    )
+
+
 def build_annulus(p: int, q: int) -> TriangulatedSurface:
     """Triangulated annulus with p outer and q inner marked points."""
     if p < 1 or q < 1:
@@ -477,6 +510,8 @@ def flip(s: TriangulatedSurface, j: int) -> TriangulatedSurface:
     The new arc reuses index j, so seed-to-surface index maps stay
     stable across flips.
     """
+    if not 0 <= j < s.n_arcs:
+        raise FlipError(f"arc {j} does not exist (arcs are 0..{s.n_arcs - 1})")
     if s.arcs[j].boundary:
         raise FlipError(f"boundary arc {j} cannot be flipped")
     t1_idx = t2_idx = None
@@ -524,6 +559,8 @@ def cut(s: TriangulatedSurface, j: int) -> TriangulatedSurface:
     endpoints are supported; cutting along an arc with equal endpoints
     would split the fan at that point into three parts.
     """
+    if not 0 <= j < s.n_arcs:
+        raise CutError(f"arc {j} does not exist (arcs are 0..{s.n_arcs - 1})")
     if s.arcs[j].boundary:
         raise CutError(f"boundary arc {j} cannot be cut")
     u, w = s.arcs[j].ends

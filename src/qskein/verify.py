@@ -93,9 +93,8 @@ def check_compatibility(rng: random.Random) -> tuple[bool, str]:
     count = 0
     for n in range(3, 8):
         for delta in disc.enumerate_triangulations(n):
-            seed = disc.triangulation_seed(n, delta)
             try:
-                diag = seed.check_compatibility()
+                diag = disc.triangulation_seed(n, delta).check_compatibility()
             except qseed.CompatibilityError as exc:
                 return False, f"disc n={n}, delta={delta}: {exc}"
             if any(v != 4 for v in diag.values()):

@@ -234,6 +234,15 @@ class TestSurface:
         assert code == 2
         assert "input error" in err
 
+    @pytest.mark.parametrize("verb", ["flip", "cut"])
+    @pytest.mark.parametrize("arc", ["-1", "4"])
+    def test_arc_out_of_range_is_an_input_error(self, capsys, verb, arc):
+        annulus_json = self.build(capsys, "--kind", "annulus", "--p", "1", "--q", "1")
+        code, _, err = run_cli(capsys, "surface", verb, "--surface", annulus_json, "--arc", arc)
+        assert code == 2
+        assert "input error" in err
+        assert f"arc {arc} does not exist" in err
+
     def test_matrices(self, capsys):
         disc_json = self.build(capsys, "--kind", "disc", "--points", "5")
         code, out, _ = run_cli(capsys, "--json", "surface", "matrices", "--surface", disc_json)

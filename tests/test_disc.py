@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qskein import disc
+from qskein import surface as surf
 from qskein.disc import DiscElement, InhomogeneousError, LocalizationError
 from qskein.qcoeff import QCoeff
 
@@ -231,7 +232,7 @@ class TestTriangulationMatrices:
     FAN4 = ((1, 2), (1, 3), (1, 4), (2, 3), (3, 4))
 
     def test_lambda_matrix(self):
-        assert disc.lambda_matrix_chords(4, self.FAN4) == [
+        assert surf.lambda_matrix(surf.from_chords(4, self.FAN4)) == [
             [0, -1, -1, 1, 0],
             [1, 0, -1, -1, 1],
             [1, 1, 0, 0, -1],
@@ -240,7 +241,7 @@ class TestTriangulationMatrices:
         ]
 
     def test_q_matrix(self):
-        assert disc.q_matrix_chords(4, self.FAN4) == [
+        assert surf.q_matrix(surf.from_chords(4, self.FAN4)) == [
             [0, 1, 0, -1, 0],
             [-1, 0, 1, 1, -1],
             [0, -1, 0, 0, 1],
@@ -250,7 +251,7 @@ class TestTriangulationMatrices:
 
     def test_form_matches_lambda(self):
         form = disc.triangulation_form(4, self.FAN4)
-        assert [list(r) for r in form.matrix] == disc.lambda_matrix_chords(4, self.FAN4)
+        assert [list(r) for r in form.matrix] == surf.lambda_matrix(surf.from_chords(4, self.FAN4))
 
     def test_seed(self):
         fan5 = tuple(sorted(disc.boundary_chords(5) + [(1, 3), (1, 4)]))

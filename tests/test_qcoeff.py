@@ -53,6 +53,28 @@ class TestArithmetic:
         x = QCoeff.q(1) + QCoeff.from_int(3)
         assert x.shift(5) == x * QCoeff.v(5)
 
+    def test_power_matches_repeated_multiplication(self):
+        x = QCoeff.q(1) + QCoeff.from_int(2)
+        expected = QCoeff.one()
+        for k in range(7):
+            assert x**k == expected
+            expected = expected * x
+
+    @pytest.mark.parametrize("k, products", [(0, 0), (1, 1), (2, 2), (3, 3), (4, 3)])
+    def test_power_squares_only_while_bits_remain(self, monkeypatch, k, products):
+        import qskein.qcoeff
+        from qskein._kernels import coeff_mul
+
+        calls = []
+
+        def counting(*args):
+            calls.append(1)
+            return coeff_mul(*args)
+
+        monkeypatch.setattr(qskein.qcoeff, "coeff_mul", counting)
+        QCoeff.q(1) ** k
+        assert len(calls) == products
+
     def test_min_max_v(self):
         x = QCoeff.q(2) + QCoeff.v(-1)
         assert x.min_v() == -1

@@ -55,6 +55,27 @@ class TestProduct:
         assert x**3 == x * x * x
         assert x**0 == TorusElement.monomial(FORM, (0, 0, 0))
 
+    def test_power_matches_repeated_multiplication(self):
+        x = mono((1, 0, 0)) + mono((0, 1, -1), 1)
+        expected = TorusElement.monomial(FORM, (0, 0, 0))
+        for k in range(7):
+            assert x**k == expected
+            expected = expected * x
+
+    @pytest.mark.parametrize("k, products", [(0, 0), (1, 1), (2, 2), (3, 3), (4, 3)])
+    def test_power_squares_only_while_bits_remain(self, monkeypatch, k, products):
+        import qskein.qtorus
+
+        calls = []
+
+        def counting(*args):
+            calls.append(1)
+            return torus_mul(*args)
+
+        monkeypatch.setattr(qskein.qtorus, "torus_mul", counting)
+        mono((1, 0, 0)) ** k
+        assert len(calls) == products
+
     def test_mixed_form_rejected(self):
         other = SkewForm([[0, 0], [0, 0]])
         with pytest.raises(ValueError):
