@@ -94,18 +94,11 @@ def _load_skein(n: int, label: str, text: str) -> DiscElement:
 
 
 def _load_delta(n: int, label: str, text: str) -> tuple:
-    chords = _as_word(n, label, _load_json(label, text))
-    delta = tuple(chords)
-    if len(set(delta)) != len(delta):
-        raise InputError(f"{label}: repeated chords")
-    for i, c1 in enumerate(delta):
-        for c2 in delta[i + 1 :]:
-            if disc.crosses(c1, c2):
-                raise InputError(f"{label}: chords {c1} and {c2} cross")
-    if len(delta) != 2 * n - 3:
-        raise InputError(
-            f"{label}: a triangulation of the {n}-gon has {2 * n - 3} chords, got {len(delta)}"
-        )
+    delta = tuple(_as_word(n, label, _load_json(label, text)))
+    try:
+        surf.from_chords(n, delta)
+    except ValueError as exc:
+        raise InputError(f"{label}: {exc}") from exc
     return delta
 
 
@@ -291,9 +284,12 @@ def cmd_seed_enumerate(args) -> int:
     if args.max_depth < 0:
         raise InputError("--max-depth must be nonnegative")
     seed = _load_seed(args)
-    seeds, truncated = qseed.enumerate_seeds(
-        seed, max_seeds=args.max_seeds, max_depth=args.max_depth
-    )
+    try:
+        seeds, truncated = qseed.enumerate_seeds(
+            seed, max_seeds=args.max_seeds, max_depth=args.max_depth
+        )
+    except CompatibilityError as exc:
+        raise InputError(f"--state: {exc}") from exc
     payload = {
         "count": len(seeds),
         "truncated": truncated,
@@ -320,7 +316,10 @@ def cmd_seed_member(args) -> int:
             raise InputError(f"--element: {exc}") from exc
         if el.form.matrix != seed.ambient.matrix:
             raise InputError("--element: element and seed use different skew forms")
-    member = qseed.upper_membership(el, seed)
+    try:
+        member = qseed.upper_membership(el, seed)
+    except CompatibilityError as exc:
+        raise InputError(f"--state: {exc}") from exc
     _emit(args, {"member": member}, text=f"member: {str(member).lower()}")
     return 0 if member else 1
 

@@ -130,14 +130,6 @@ def multiset_key(n: int, chords: Iterable, weights=None) -> MultisetKey:
     return tuple(sorted(counts.items()))
 
 
-def _word_of(key: MultisetKey) -> tuple[Chord, ...]:
-    """Internal chords of a key, expanded by multiplicity, sorted."""
-    out: list[Chord] = []
-    for c, w in key:
-        out.extend([c] * w)
-    return tuple(out)
-
-
 def _split_key(n: int, key: MultisetKey):
     """Split into (boundary weight dict, internal word tuple)."""
     bnd: dict[Chord, int] = {}
@@ -478,7 +470,12 @@ def mu(x: DiscElement, y: DiscElement) -> int:
 
 
 def mu_delta(n: int, delta, x: DiscElement) -> tuple[int, ...]:
-    arcs = [normalize_chord(n, c) for c in delta]
+    """mu of x against each arc of the triangulation delta.
+
+    Raises ValueError when delta does not triangulate the n-gon.
+    """
+    arcs = tuple(normalize_chord(n, c) for c in delta)
+    _triangulation(n, arcs)
     if x.is_zero():
         return (0,) * len(arcs)
     return tuple(max(mu_keys(((c, 1),), key) for key in x._terms) for c in arcs)

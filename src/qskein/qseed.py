@@ -6,7 +6,12 @@ matrix Lambda recording how the frame variables quasi-commute
 fixed ambient quantum torus T_0.  The initial seed's frame is the basis
 monomials of T_0, so its Lambda equals the ambient form.  Mutation stays
 inside T_0: every new cluster variable is stored by its Laurent
-expansion in the initial torus.
+expansion in the initial torus.  Mutation reads the new Lambda from the
+closed formula E^T Lambda E, not from torus products, so it trusts
+Lambda: ``from_json`` checks it against the frame, and
+``quasi_commutation_exponent`` remains the product-based oracle.
+``upper_membership`` divides by the X'_i that ``mutate`` builds, so the
+exchange relation has one implementation.
 """
 
 from __future__ import annotations
@@ -20,7 +25,11 @@ from .qtorus import SkewForm, TorusElement
 
 
 class CompatibilityError(ValueError):
-    """Raised when Lambda B = D iota fails; carries the first bad entry."""
+    """Raised when Lambda, B and the frame disagree; carries the first bad entry.
+
+    That is Lambda B = D iota failing, or frame variables that do not
+    quasi-commute as Lambda says.
+    """
 
     def __init__(self, message, entry=None):
         self.entry = entry
@@ -148,22 +157,24 @@ class QuantumSeed:
         bcol = [self.b[k][col] for k in range(self.n)]
         p = tuple(max(v, 0) for v in bcol)
         m = tuple(max(-v, 0) for v in bcol)
-        lam_ip = sum(self.lam.matrix[i][k] * p[k] for k in range(self.n))
-        lam_im = sum(self.lam.matrix[i][k] * m[k] for k in range(self.n))
-        numer = self.frame_monomial(p).shift(lam_ip) + self.frame_monomial(m).shift(lam_im)
-        xprime = numer.exact_divide_left(self.frame[i])
-        frame = self.frame[:i] + (xprime,) + self.frame[i + 1 :]
-
-        newb = _mutate_columns(self.b, i, col)
-
+        # Lambda' = E^T Lambda E (Berenstein-Zelevinsky): X'_i quasi-commutes
+        # with X_j as Lambda(m - e_i, e_j), provided (Lambda B)[j][col] = 0.
+        m_ei = tuple(v - (k == i) for k, v in enumerate(m))
         newlam = [list(row) for row in self.lam.matrix]
         for j in range(self.n):
             if j == i:
                 continue
-            val = quasi_commutation_exponent(xprime, frame[j])
-            newlam[i][j] = val
-            newlam[j][i] = -val
-        newlam[i][i] = 0
+            if entry := self.lam.row_pairing(j, bcol):
+                raise CompatibilityError(
+                    f"(Lambda B)[{j}][{col}] = {entry}, expected 0", entry=(j, col)
+                )
+            newlam[j][i] = self.lam.row_pairing(j, m_ei)
+            newlam[i][j] = -newlam[j][i]
+        numer = self.frame_monomial(p).shift(self.lam.row_pairing(i, p))
+        numer = numer + self.frame_monomial(m).shift(self.lam.row_pairing(i, m))
+        xprime = numer.exact_divide_left(self.frame[i])
+        frame = self.frame[:i] + (xprime,) + self.frame[i + 1 :]
+        newb = _mutate_columns(self.b, i, col)
         return QuantumSeed(self.ambient, SkewForm(newlam), newb, self.ex, frame)
 
     def freeze(self, drop) -> QuantumSeed:
@@ -213,7 +224,18 @@ class QuantumSeed:
             raise ValueError("frame must assign every index exactly once")
         frame = [TorusElement.from_json(frame_map[str(k)]) for k in range(n)]
         ambient = frame[0].form
-        return cls(ambient, lam, data["B"], data["ex"], frame)
+        seed = cls(ambient, lam, data["B"], data["ex"], frame)
+        # mutate trusts lambda, so outside input must agree with its frame.
+        for i in range(n):
+            for j in range(i + 1, n):
+                c = quasi_commutation_exponent(frame[i], frame[j])
+                if c != lam.matrix[i][j]:
+                    raise CompatibilityError(
+                        f"frame variables {i} and {j} quasi-commute with exponent {c}, "
+                        f"but lambda[{i}][{j}] = {lam.matrix[i][j]}",
+                        entry=(i, j),
+                    )
+        return seed
 
     def __repr__(self) -> str:
         return f"QuantumSeed(n={self.n}, ex={self.ex})"
@@ -243,7 +265,7 @@ def upper_membership(x: TorusElement, seed: QuantumSeed) -> bool:
 
     For each exchangeable i, collect x on index i; each layer with a
     negative exponent -m must be left-divisible by the m-th power of the
-    mutated variable X'_i = M^(m+) + M^(m-).
+    mutated variable X'_i, read from seed.mutate(i).
     """
     if x.form != seed.ambient:
         raise ValueError("element does not live in the seed's ambient torus")
@@ -252,13 +274,8 @@ def upper_membership(x: TorusElement, seed: QuantumSeed) -> bool:
     if x.is_zero():
         return True
     n = seed.n
-    for c, i in enumerate(seed.ex):
-        bcol = [seed.b[k][c] for k in range(n)]
-        mp = tuple((-1 if k == i else 0) + max(bcol[k], 0) for k in range(n))
-        mm = tuple((-1 if k == i else 0) + max(-bcol[k], 0) for k in range(n))
-        xprime = TorusElement.monomial(seed.ambient, mp) + TorusElement.monomial(
-            seed.ambient, mm
-        )
+    for i in seed.ex:
+        xprime = seed.mutate(i).frame[i]
         for k, y in x.collect_on_index(i).items():
             if k >= 0:
                 continue
@@ -318,21 +335,25 @@ def enumerate_seeds(seed: QuantumSeed, max_seeds: int = 64, max_depth: int = 16)
     """BFS over the mutation pattern.
 
     Returns (seeds, truncated); truncated is True when a cap stopped the
-    search before closure, so infinite exchange types never loop.
+    search before closure, so infinite exchange types never loop.  Each
+    queued seed carries the index that produced it: mutation is an
+    involution, so mutating there again would only rebuild its parent.
     """
     def key(s: QuantumSeed):
         return frozenset(f.fingerprint() for f in s.frame)
 
     seen = {key(seed): seed}
     out = [seed]
-    queue = deque([(seed, 0)])
+    queue = deque([(seed, 0, None)])
     truncated = False
     while queue:
-        s, depth = queue.popleft()
+        s, depth, back = queue.popleft()
         if depth >= max_depth:
             truncated = True
             continue
         for i in s.ex:
+            if i == back:
+                continue
             t = s.mutate(i)
             k = key(t)
             if k in seen:
@@ -341,7 +362,7 @@ def enumerate_seeds(seed: QuantumSeed, max_seeds: int = 64, max_depth: int = 16)
             out.append(t)
             if len(out) >= max_seeds:
                 return out, True
-            queue.append((t, depth + 1))
+            queue.append((t, depth + 1, i))
     return out, truncated
 
 

@@ -49,7 +49,7 @@ class TriangulatedSurface:
 
     __slots__ = ("arcs", "fans", "triangles")
 
-    def __init__(self, arcs, fans, triangles, validate: bool = True):
+    def __init__(self, arcs, fans, triangles):
         self.arcs: tuple[Arc, ...] = tuple(
             Arc(bool(a[0]), (int(a[1][0]), int(a[1][1]))) for a in arcs
         )
@@ -59,8 +59,7 @@ class TriangulatedSurface:
         self.triangles: tuple[tuple[Dart, Dart, Dart], ...] = tuple(
             tuple((int(a), int(d)) for a, d in tri) for tri in triangles
         )
-        if validate:
-            self.validate()
+        self.validate()
 
     # -- basic accessors ---------------------------------------------------
 
@@ -448,14 +447,27 @@ def from_chords(n: int, arcs) -> TriangulatedSurface:
     surface point p - 1.  The fan at p orders the other endpoints u of
     its chords by (p - u) mod n, and each triangle a < b < c is the dart
     cycle a -> b -> c -> a.  Chords that do not triangulate the n-gon
-    (crossing, missing or repeated) fail validation with ValueError.
+    (out of range, repeated, crossing, or too few or many) raise
+    ValueError.
     """
+    from .disc import crosses
+
     if n < 3:
         raise ValueError("a triangulated disc needs at least 3 marked points")
     chords = [tuple(sorted((int(c[0]), int(c[1])))) for c in arcs]
     for a, b in chords:
         if not 1 <= a < b <= n:
             raise ValueError(f"({a}, {b}) is not a chord of the {n}-gon")
+    if len(set(chords)) != len(chords):
+        raise ValueError("repeated chords")
+    for k, c1 in enumerate(chords):
+        for c2 in chords[k + 1 :]:
+            if crosses(c1, c2):
+                raise ValueError(f"chords {c1} and {c2} cross")
+    if len(chords) != 2 * n - 3:
+        raise ValueError(
+            f"a triangulation of the {n}-gon has {2 * n - 3} chords, got {len(chords)}"
+        )
     index = {c: i for i, c in enumerate(chords)}
     fans: list[list[ArcEnd]] = [[] for _ in range(n)]
     for i, (a, b) in enumerate(chords):

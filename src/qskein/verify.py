@@ -113,6 +113,19 @@ def check_compatibility(rng: random.Random) -> tuple[bool, str]:
 # ---------------------------------------------------------------------------
 
 
+def _lambda_row_matches_frame(seed: qseed.QuantumSeed, i: int) -> bool:
+    """Row i of Lambda against the torus products of the frame (the oracle)."""
+    try:
+        return all(
+            qseed.quasi_commutation_exponent(seed.frame[i], seed.frame[j])
+            == seed.lam.matrix[i][j]
+            for j in range(seed.n)
+            if j != i
+        )
+    except qseed.CompatibilityError:
+        return False
+
+
 def check_flip_mutation(rng: random.Random) -> tuple[bool, str]:
     """Flipping a diagonal matches quantum seed mutation, matrices and variables."""
     count = 0
@@ -127,6 +140,8 @@ def check_flip_mutation(rng: random.Random) -> tuple[bool, str]:
                     return False, f"B mismatch: n={n}, delta={delta}, i={i}"
                 if mut.lam.matrix != flipped.lam.matrix:
                     return False, f"Lambda mismatch: n={n}, delta={delta}, i={i}"
+                if not _lambda_row_matches_frame(mut, i):
+                    return False, f"Lambda/frame mismatch: n={n}, delta={delta}, i={i}"
                 expansion = disc.expand_laurent(DiscElement.basis(n, [new_chord]), delta)
                 if expansion != mut.frame[i]:
                     return False, f"variable mismatch: n={n}, delta={delta}, i={i}"
@@ -142,6 +157,8 @@ def check_flip_mutation(rng: random.Random) -> tuple[bool, str]:
             return False, f"annulus B mismatch at arc {i}"
         if mut.lam.matrix != flipped.lam.matrix:
             return False, f"annulus Lambda mismatch at arc {i}"
+        if not _lambda_row_matches_frame(mut, i):
+            return False, f"annulus Lambda/frame mismatch at arc {i}"
         if mut.frame[i] != recurrence[i]:
             return False, f"annulus variable mismatch at arc {i}"
         count += 1

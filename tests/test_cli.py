@@ -8,7 +8,7 @@ import pytest
 
 from qskein import cli, verify
 from qskein.qseed import QuantumSeed
-from qskein.qtorus import TorusElement
+from qskein.qtorus import SkewForm, TorusElement
 from qskein.surface import TriangulatedSurface
 
 FAN5 = "[[1,2],[1,3],[1,4],[1,5],[2,3],[3,4],[4,5]]"
@@ -87,6 +87,21 @@ class TestSkein:
         assert code == 2
         assert "cross" in err
 
+    @pytest.mark.parametrize(
+        "delta, message",
+        [
+            ("[[1,2],[2,3],[3,4],[1,4],[1,3],[1,3]]", "repeated chords"),
+            ("[[1,2],[2,3],[3,4],[1,4]]", "a triangulation of the 4-gon has 5 chords, got 4"),
+        ],
+    )
+    @pytest.mark.parametrize("verb", ["expand", "mu"])
+    def test_non_triangulation_delta_is_an_input_error(self, capsys, verb, delta, message):
+        code, _, err = run_cli(
+            capsys, "skein", verb, "--n", "4", "--x", "[[1,3]]", "--delta", delta
+        )
+        assert code == 2
+        assert err.strip() == f"input error: --delta: {message}"
+
     @pytest.mark.parametrize("n, word", [("4", "[[1,9]]"), ("2", "[[1,2]]")])
     def test_out_of_range_chord_is_an_input_error(self, capsys, n, word):
         code, _, err = run_cli(capsys, "skein", "reduce", "--n", n, "--word", word)
@@ -131,6 +146,25 @@ class TestSeed:
         assert code == 0
         back = QuantumSeed.from_json(json.loads(out))
         assert back == cli._disc_preset(5)
+
+    def test_state_whose_lambda_disagrees_with_its_frame_is_an_input_error(self, capsys):
+        data = cli._disc_preset(5).to_json()
+        lam = data["lambda"]
+        i, j = next((i, j) for i in range(7) for j in range(i + 1, 7) if lam[i][j])
+        lam[i][j], lam[j][i] = -lam[i][j], -lam[j][i]
+        code, _, err = run_cli(capsys, "seed", "mutate", "--state", json.dumps(data), "--at", "1")
+        assert code == 2
+        assert err.startswith(f"input error: --state: frame variables {i} and {j}")
+
+    @pytest.mark.parametrize(
+        "verb", [["enumerate"], ["member", "--element", "[0, 0, 0]"], ["mutate", "--at", "0"]]
+    )
+    def test_incompatible_state_is_an_input_error(self, capsys, verb):
+        lam = SkewForm([[0, 1, 0], [-1, 0, 1], [0, -1, 0]])
+        state = json.dumps(QuantumSeed.initial(lam, [[0], [1], [1]], (0,)).to_json())
+        code, _, err = run_cli(capsys, "seed", verb[0], "--state", state, *verb[1:])
+        assert code == 2
+        assert err.strip().endswith("(Lambda B)[1][0] = 1, expected 0")
 
     def test_check(self, capsys):
         code, out, _ = run_cli(capsys, "--json", "seed", "check", "--preset", "annulus")

@@ -1,8 +1,11 @@
 """Quantum seeds: mutation, compatibility, freezing, membership."""
 
+from collections import deque
+
 import pytest
 
 from qskein import disc, qseed
+from qskein import surface as surf
 from qskein.disc import DiscElement
 from qskein.qcoeff import QCoeff
 from qskein.qseed import CompatibilityError, QuantumSeed
@@ -14,6 +17,21 @@ FAN5 = tuple(sorted(disc.boundary_chords(5) + [(1, 3), (1, 4)]))
 @pytest.fixture
 def pentagon():
     return disc.triangulation_seed(5, FAN5)
+
+
+def start_seed(name):
+    """The fan seed of disc:n, or the seed of the (1, 1) annulus."""
+    if name == "annulus":
+        return surf.to_seed(surf.build_annulus(1, 1))
+    n = int(name.split(":")[1])
+    fan = disc.boundary_chords(n) + [(1, k) for k in range(3, n)]
+    return disc.triangulation_seed(n, tuple(sorted(fan)))
+
+
+def incompatible_seed():
+    """(Lambda B)[1][0] = 1: X'_0 cannot quasi-commute with X_1."""
+    lam = SkewForm([[0, 1, 0], [-1, 0, 1], [0, -1, 0]])
+    return QuantumSeed.initial(lam, [[0], [1], [1]], (0,))
 
 
 class TestConstruction:
@@ -87,6 +105,38 @@ class TestMutation:
     def test_mutated_seed_is_not_initial(self, pentagon):
         assert not pentagon.mutate(1).is_initial()
 
+    @pytest.mark.parametrize(
+        "name, cap",
+        [("disc:4", 99), ("disc:5", 99), ("disc:6", 99), ("disc:7", 99), ("annulus", 24)],
+    )
+    def test_closed_form_lambda_matches_products(self, monkeypatch, name, cap):
+        reached = []
+        mutate = QuantumSeed.mutate
+
+        def recording(seed, i):
+            reached.append((i, mutate(seed, i)))
+            return reached[-1][1]
+
+        monkeypatch.setattr(QuantumSeed, "mutate", recording)
+        seeds, _ = qseed.enumerate_seeds(start_seed(name), max_seeds=cap, max_depth=64)
+        assert len(reached) >= len(seeds) - 1
+        for i, mut in reached:
+            products = [
+                0 if j == i else qseed.quasi_commutation_exponent(mut.frame[i], mut.frame[j])
+                for j in range(mut.n)
+            ]
+            assert list(mut.lam.matrix[i]) == products
+
+    def test_incompatible_column_raises(self):
+        with pytest.raises(CompatibilityError):
+            incompatible_seed().mutate(0)
+
+    def test_incompatible_column_names_the_entry(self):
+        with pytest.raises(CompatibilityError) as info:
+            incompatible_seed().mutate(0)
+        assert str(info.value) == "(Lambda B)[1][0] = 1, expected 0"
+        assert info.value.entry == (1, 0)
+
 
 class TestFrameMonomial:
     def test_single_index(self, pentagon):
@@ -158,6 +208,38 @@ class TestEnumeration:
         assert len(seeds) == 2
         assert truncated
 
+    @pytest.mark.parametrize(
+        "name, max_seeds, max_depth", [("disc:7", 99, 16), ("disc:7", 99, 3), ("annulus", 16, 64)]
+    )
+    def test_matches_a_plain_breadth_first_search(self, name, max_seeds, max_depth):
+        start = start_seed(name)
+
+        def key(s):
+            return frozenset(f.fingerprint() for f in s.frame)
+
+        def plain_bfs():
+            seen, out, queue, truncated = {key(start)}, [start], deque([(start, 0)]), False
+            while queue:
+                s, depth = queue.popleft()
+                if depth >= max_depth:
+                    truncated = True
+                    continue
+                for i in s.ex:
+                    t = s.mutate(i)
+                    if key(t) in seen:
+                        continue
+                    seen.add(key(t))
+                    out.append(t)
+                    if len(out) >= max_seeds:
+                        return out, True
+                    queue.append((t, depth + 1))
+            return out, truncated
+
+        out, truncated = plain_bfs()
+        seeds, got_truncated = qseed.enumerate_seeds(start, max_seeds, max_depth)
+        assert [x.to_json() for x in seeds] == [x.to_json() for x in out]
+        assert got_truncated == truncated
+
     def test_seeds_equal(self, pentagon):
         assert qseed.seeds_equal(pentagon, pentagon)
         assert not qseed.seeds_equal(pentagon, pentagon.mutate(1))
@@ -168,6 +250,15 @@ class TestJson:
         data = pentagon.to_json()
         assert set(data) == {"ex", "B", "lambda", "frame"}
         assert QuantumSeed.from_json(data) == pentagon
+
+    def test_lambda_that_disagrees_with_the_frame_is_rejected(self, pentagon):
+        data = pentagon.to_json()
+        lam = data["lambda"]
+        lam[0][1], lam[1][0] = -lam[0][1], -lam[1][0]
+        assert lam[0][1]
+        with pytest.raises(CompatibilityError) as info:
+            QuantumSeed.from_json(data)
+        assert info.value.entry == (0, 1)
 
     def test_round_trip_mutated(self, pentagon):
         mut = pentagon.mutate(1)

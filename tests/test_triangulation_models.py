@@ -20,11 +20,13 @@ CATALAN = {3: 1, 4: 2, 5: 5, 6: 14, 7: 42, 8: 132}
 
 FAN5 = tuple(sorted(disc.boundary_chords(5) + [(1, 3), (1, 4)]))
 
-NOT_TRIANGULATIONS = {
-    "crossing pair": disc.boundary_chords(5) + [(1, 3), (2, 4)],
-    "missing diagonal": disc.boundary_chords(5) + [(1, 3)],
-    "repeated arc": disc.boundary_chords(5) + [(1, 3), (1, 3)],
-    "diagonals only": [(1, 3), (2, 4)],
+CROSSING = r"chords \(1, 3\) and \(2, 4\) cross"
+
+NOT_TRIANGULATIONS = {  # chords, and how from_chords rejects them
+    "crossing pair": (disc.boundary_chords(5) + [(1, 3), (2, 4)], CROSSING),
+    "missing diagonal": (disc.boundary_chords(5) + [(1, 3)], "5-gon has 7 chords, got 6"),
+    "repeated arc": (disc.boundary_chords(5) + [(1, 3), (1, 3)], "repeated chords"),
+    "diagonals only": ([(1, 3), (2, 4)], CROSSING),
 }
 
 
@@ -94,9 +96,11 @@ def test_exactly_the_triangulations_are_accepted(n):
 
 @pytest.mark.parametrize("case", sorted(NOT_TRIANGULATIONS))
 def test_non_triangulations_are_rejected(case):
-    arcs = NOT_TRIANGULATIONS[case]
-    with pytest.raises(ValueError):
+    arcs, message = NOT_TRIANGULATIONS[case]
+    with pytest.raises(ValueError, match=message):
         surf.from_chords(5, arcs)
+    with pytest.raises(ValueError):
+        disc.mu_delta(5, arcs, DiscElement.basis(5, [(2, 4)]))
     with pytest.raises(ValueError):
         disc.triangulation_seed(5, arcs)
     with pytest.raises(ValueError):
