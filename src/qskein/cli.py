@@ -245,6 +245,8 @@ def cmd_seed_mutate(args) -> int:
     seed = _load_seed(args)
     try:
         mutated = seed.mutate(args.at)
+    except CompatibilityError as exc:
+        raise InputError(f"--state: {exc}") from exc
     except (ValueError, IndexError) as exc:
         raise InputError(f"--at: {exc}") from exc
     _emit(args, mutated.to_json(), text=_seed_text(mutated))

@@ -15,6 +15,16 @@ i.e. the q-smoothing joins each endpoint of the over-chord to the
 endpoint of the under-chord immediately clockwise from it.  Noncrossing
 chords obey [x][y] = v^(L(x,y)) [x u y] where L is the orientation
 pairing of arc ends at shared marked points (v = q^(1/2)).
+
+Rewriting runs on interned chords.  Crossing, L and smoothing depend
+only on the cyclic order of the endpoints involved, so they are
+invariant under any relabelling that keeps that order.  ``reduce_word``
+and ``product`` therefore relabel the e distinct endpoints a call
+touches, in clockwise order, onto 1..e; chords become small ints, and
+the result keys are mapped back to the original labels.  The relations
+of the e-gon live in one table per e that is filled lazily, an entry at
+a time on first use, so no table is sized by n and none is built at
+import.
 """
 
 from __future__ import annotations
@@ -22,6 +32,7 @@ from __future__ import annotations
 import functools
 import json
 import random
+from operator import mul, sub
 from typing import Iterable, Iterator
 
 from . import surface
@@ -130,32 +141,6 @@ def multiset_key(n: int, chords: Iterable, weights=None) -> MultisetKey:
     return tuple(sorted(counts.items()))
 
 
-def _split_key(n: int, key: MultisetKey):
-    """Split into (boundary weight dict, internal word tuple)."""
-    bnd: dict[Chord, int] = {}
-    word: list[Chord] = []
-    for c, w in key:
-        if is_boundary_chord(n, c):
-            bnd[c] = w
-        else:
-            word.extend([c] * w)
-    return bnd, tuple(word)
-
-
-def _lam_weighted(n: int, a: Iterable[tuple[Chord, int]], b: Iterable[tuple[Chord, int]]) -> int:
-    b = list(b)
-    return sum(wx * wy * lam_pair(n, x, y) for x, wx in a for y, wy in b)
-
-
-def _word_twist(n: int, word: tuple[Chord, ...]) -> int:
-    """Sum of lam_pair over ordered pairs i < j of the word."""
-    s = 0
-    for i in range(len(word)):
-        for j in range(i + 1, len(word)):
-            s += lam_pair(n, word[i], word[j])
-    return s
-
-
 # -- elements ------------------------------------------------------------
 
 
@@ -170,7 +155,13 @@ class DiscElement:
         self.n = n
         self._terms: dict[MultisetKey, dict] = {}
         if terms:
+            seen = set()
             for key, c in terms.items():
+                # Rewriting relies on keys being simple multisets.
+                key = multiset_key(n, [ch for ch, _ in key], [w for _, w in key])
+                if key in seen:
+                    raise ValueError(f"duplicate multiset {key}")
+                seen.add(key)
                 raw = dict(c.items()) if isinstance(c, QCoeff) else {int(k): int(v) for k, v in c.items()}
                 raw = {k: v for k, v in raw.items() if v}
                 if raw:
@@ -356,7 +347,141 @@ def multiset_degree(n: int, key: MultisetKey) -> tuple[int, ...]:
     return tuple(deg)
 
 
+# -- interned chords -------------------------------------------------------
+
+
+class _Lazy(dict):
+    """A dict that computes a missing value with fill(key) and keeps it."""
+
+    __slots__ = ("fill",)
+
+    def __init__(self, fill):
+        super().__init__()
+        self.fill = fill
+
+    def __missing__(self, key):
+        value = self[key] = self.fill(key)
+        return value
+
+
+class _Table:
+    """Chord relations of the e-gon, filled on first use.
+
+    Chord (a, b) of the e-gon is interned as the id a * m + b, m = e + 1,
+    so ids sort like chords; the ordered pair of ids (x, y) has the key
+    x * mm + y, mm = m * m.  ``pairs`` maps a pair key to lam_pair(x, y),
+    or to None when x and y cross; ``smoothings`` maps the key of a
+    crossing (over, under) to the ids (u1, u2, t1, t2) of its q- and
+    q^-1-smoothings.  An entry is computed when first asked for, so a
+    table holds only the pairs some rewriting has met.
+    """
+
+    __slots__ = ("e", "m", "mm", "pairs", "smoothings")
+
+    def __init__(self, e: int):
+        self.e, self.m, self.mm = e, e + 1, (e + 1) ** 2
+        self.pairs = _Lazy(self._pair)
+        self.smoothings = _Lazy(self._smoothing)
+
+    def _pair(self, key: int):
+        x, y = divmod(key, self.mm)
+        cx, cy = divmod(x, self.m), divmod(y, self.m)
+        return None if crosses(cx, cy) else lam_pair(self.e, cx, cy)
+
+    def _smoothing(self, key: int) -> tuple[int, int, int, int]:
+        over, under = divmod(key, self.mm)
+        m = self.m
+        smoothed = _smooth(self.e, divmod(over, m), divmod(under, m))
+        return tuple(a * m + b for pair in smoothed for a, b in pair)
+
+
+@functools.lru_cache(maxsize=None)
+def _table(e: int) -> _Table:
+    return _Table(e)
+
+
+def _relabel(points: Iterable[int]) -> tuple[_Table, dict[int, int], list[int]]:
+    """Relabel the marked points touched, in clockwise order, onto 1..e.
+
+    Returns the table of the e-gon, the map from old labels to new, and
+    the list mapping new labels back (entry 0 unused).
+    """
+    labels = sorted(set(points))
+    return _table(len(labels)), {p: k for k, p in enumerate(labels, 1)}, [0, *labels]
+
+
+def _unintern(key, m: int, back: list[int]) -> MultisetKey:
+    """An id-keyed multiset in the original labels."""
+    return tuple(((back[x // m], back[x % m]), w) for x, w in key)
+
+
 # -- reduction to the canonical basis -------------------------------------
+
+
+def _reduce(t: _Table, word: tuple[int, ...], rng: random.Random | None = None) -> dict:
+    """reduce_word on interned chords: id-keyed multiset -> coefficient."""
+    pairs, smoothings, mm = t.pairs, t.smoothings, t.mm
+    out: dict[tuple, dict] = {}
+    stack: list[tuple[tuple[int, ...], dict]] = [(word, {0: 1})]
+    while stack:
+        w, coef = stack.pop()
+        size = len(w)
+        twist = 0
+        if rng is None:
+            # Scan gaps d = 1, 2, ... for the first crossing (i, i + d).
+            # Nothing between a nearest crossing pair crosses its right
+            # chord, so it is admissible: this is the admissible pair
+            # minimising (j - i, i).  A word with no crossing is a leaf,
+            # and its twist is the sum of the pairs scanned.
+            for d in range(1, size):
+                for i in range(size - d):
+                    lam = pairs[w[i] * mm + w[i + d]]
+                    if lam is None:
+                        break
+                    twist += lam
+                else:
+                    continue
+                j = i + d
+                break
+            else:
+                j = None
+        else:
+            admissible = [
+                (i, j)
+                for i in range(size)
+                for j in range(i + 1, size)
+                if pairs[w[i] * mm + w[j]] is None
+                and all(pairs[w[k] * mm + w[j]] is not None for k in range(i + 1, j))
+            ]
+            if admissible:
+                i, j = admissible[rng.randrange(len(admissible))]
+            else:
+                j = None
+                twist = sum(pairs[w[i] * mm + w[j]] for i in range(size) for j in range(i + 1, size))
+        if j is None:
+            # Leaves are noncrossing by construction: key them by counts.
+            counts: dict[int, int] = {}
+            for x in w:
+                counts[x] = counts.get(x, 0) + 1
+            key = tuple(sorted(counts.items()))
+            shifted = coeff_shift(coef, twist)
+            cur = out.get(key)
+            s = coeff_add(cur, shifted) if cur is not None else shifted
+            if s:
+                out[key] = s
+            else:
+                out.pop(key, None)
+            continue
+        # Commute w[j] left to sit just after w[i]; each swap with a
+        # noncrossing entry costs v^(2 L).
+        right = w[j]
+        shift = 2 * sum(pairs[w[k] * mm + right] for k in range(i + 1, j))
+        prefix = w[:i]
+        suffix = w[i + 1 : j] + w[j + 1 :]
+        u1, u2, t1, t2 = smoothings[w[i] * mm + right]
+        stack.append((prefix + (u1, u2) + suffix, coeff_shift(coef, shift + 2)))
+        stack.append((prefix + (t1, t2) + suffix, coeff_shift(coef, shift - 2)))
+    return out
 
 
 def reduce_word(n: int, word, rng: random.Random | None = None) -> DiscElement:
@@ -367,42 +492,11 @@ def reduce_word(n: int, word, rng: random.Random | None = None) -> DiscElement:
     resolved at each step is chosen at random among the admissible ones
     (used to check that the rewriting is confluent).
     """
-    word = tuple(normalize_chord(n, c) for c in word)
-    out: dict[MultisetKey, dict] = {}
-    stack: list[tuple[tuple[Chord, ...], dict]] = [(word, {0: 1})]
-    while stack:
-        w, coef = stack.pop()
-        pairs = [
-            (i, j)
-            for i in range(len(w))
-            for j in range(i + 1, len(w))
-            if crosses(w[i], w[j])
-            and all(not crosses(w[m], w[j]) for m in range(i + 1, j))
-        ]
-        if not pairs:
-            key = multiset_key(n, w)
-            shifted = coeff_shift(coef, _word_twist(n, w))
-            cur = out.get(key)
-            s = coeff_add(cur, shifted) if cur is not None else shifted
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-            continue
-        if rng is None:
-            i, j = min(pairs, key=lambda p: (p[1] - p[0], p[0]))
-        else:
-            i, j = pairs[rng.randrange(len(pairs))]
-        # Commute w[j] left to sit just after w[i]; each swap with a
-        # noncrossing entry costs v^(2 L).
-        shift = 2 * sum(lam_pair(n, w[m], w[j]) for m in range(i + 1, j))
-        prefix = w[:i]
-        suffix = w[i + 1 : j] + w[j + 1 :]
-        (u1, u2), (t1, t2) = _smooth(n, w[i], w[j])
-        base = coeff_shift(coef, shift)
-        stack.append((prefix + (u1, u2) + suffix, coeff_shift(base, 2)))
-        stack.append((prefix + (t1, t2) + suffix, coeff_shift(base, -2)))
-    return DiscElement._raw(n, out)
+    word = [normalize_chord(n, c) for c in word]
+    t, index, back = _relabel(p for c in word for p in c)
+    m = t.m
+    terms = _reduce(t, tuple(index[a] * m + index[b] for a, b in word), rng)
+    return DiscElement._raw(n, {_unintern(k, m, back): c for k, c in terms.items()})
 
 
 def product(x: DiscElement, y: DiscElement) -> DiscElement:
@@ -410,32 +504,61 @@ def product(x: DiscElement, y: DiscElement) -> DiscElement:
     if x.n != y.n:
         raise ValueError("elements live on discs of different sizes")
     n = x.n
-    out: dict[MultisetKey, dict] = {}
-    memo: dict[tuple[Chord, ...], DiscElement] = {}
+    t, index, back = _relabel(
+        p for el in (x, y) for key in el._terms for c, _ in key for p in c
+    )
+    pairs, m, mm = t.pairs, t.m, t.mm
+
+    def split(key: MultisetKey) -> tuple[dict[int, int], tuple[int, ...]]:
+        """(boundary id -> weight, word of internal ids)."""
+        bnd: dict[int, int] = {}
+        word: list[int] = []
+        for c, w in key:
+            cid = index[c[0]] * m + index[c[1]]
+            if is_boundary_chord(n, c):
+                bnd[cid] = w
+            else:
+                word.extend([cid] * w)
+        return bnd, tuple(word)
+
+    def lam(a, b) -> int:
+        """Sum of wa * wb * lam_pair over (id, weight) pairs of a and b."""
+        s = 0
+        for xa, wa in a:
+            for xb, wb in b:
+                s += wa * wb * pairs[xa * mm + xb]
+        return s
+
+    def word_twist(word: tuple[int, ...]) -> int:
+        s = 0
+        for i, xa in enumerate(word):
+            for xb in word[i + 1 :]:
+                s += pairs[xa * mm + xb]
+        return s
+
+    ys = []
+    for ky, cy in y._terms.items():
+        by, wy = split(ky)
+        ys.append((by, wy, cy, -lam(by.items(), [(c, 1) for c in wy]) - word_twist(wy)))
+    out: dict[tuple, dict] = {}
+    memo: dict[tuple[int, ...], dict] = {}
     for kx, cx in x._terms.items():
-        bx, wx = _split_key(n, kx)
-        twist_x = -_lam_weighted(n, bx.items(), ((c, 1) for c in wx)) - _word_twist(n, wx)
-        for ky, cy in y._terms.items():
-            by, wy = _split_key(n, ky)
+        bx, wx = split(kx)
+        ones_x = [(c, 1) for c in wx]
+        twist_x = -lam(bx.items(), ones_x) - word_twist(wx)
+        for by, wy, cy, twist_y in ys:
             word = wx + wy
             reduced = memo.get(word)
             if reduced is None:
-                reduced = reduce_word(n, word)
-                memo[word] = reduced
-            shift = (
-                twist_x
-                - _lam_weighted(n, by.items(), ((c, 1) for c in wy))
-                - _word_twist(n, wy)
-                + 2 * _lam_weighted(n, ((c, 1) for c in wx), by.items())
-                + _lam_weighted(n, bx.items(), by.items())
-            )
+                reduced = memo[word] = _reduce(t, word)
+            shift = twist_x + twist_y + 2 * lam(ones_x, by.items()) + lam(bx.items(), by.items())
             bnd = dict(bx)
             for c, w in by.items():
                 bnd[c] = bnd.get(c, 0) + w
             cxy = coeff_shift(coeff_mul(cx, cy), shift)
-            for rkey, rcoef in reduced._terms.items():
-                s2 = _lam_weighted(n, bnd.items(), rkey)
-                merged: dict[Chord, int] = dict(bnd)
+            for rkey, rcoef in reduced.items():
+                s2 = lam(bnd.items(), rkey)
+                merged = dict(bnd)
                 for c, w in rkey:
                     merged[c] = merged.get(c, 0) + w
                 key = tuple(sorted((c, w) for c, w in merged.items() if w))
@@ -446,7 +569,7 @@ def product(x: DiscElement, y: DiscElement) -> DiscElement:
                     out[key] = s
                 else:
                     out.pop(key, None)
-    return DiscElement._raw(n, out)
+    return DiscElement._raw(n, {_unintern(k, m, back): c for k, c in out.items()})
 
 
 # -- crossing numbers ------------------------------------------------------
@@ -475,10 +598,24 @@ def mu_delta(n: int, delta, x: DiscElement) -> tuple[int, ...]:
     Raises ValueError when delta does not triangulate the n-gon.
     """
     arcs = tuple(normalize_chord(n, c) for c in delta)
-    _triangulation(n, arcs)
-    if x.is_zero():
-        return (0,) * len(arcs)
-    return tuple(max(mu_keys(((c, 1),), key) for key in x._terms) for c in arcs)
+    return _crossings(len(arcs), _triangulation(n, arcs)[2], x)
+
+
+def _crossings(size: int, diagonals, x: DiscElement) -> tuple[int, ...]:
+    """mu_delta from the (position, chord) diagonals of a triangulation.
+
+    Boundary arcs cross nothing, so their entries stay 0.
+    """
+    best = [0] * size
+    for key in x._terms:
+        for i, c in diagonals:
+            s = 0
+            for y, w in key:
+                if crosses(c, y):
+                    s += abs(w)
+            if s > best[i]:
+                best[i] = s
+    return tuple(best)
 
 
 # -- smoothing and leading terms -------------------------------------------
@@ -613,26 +750,36 @@ def triangulation_form(n: int, delta) -> SkewForm:
 
 
 @functools.lru_cache(maxsize=256)
-def _triangulation(n: int, arcs: tuple[Chord, ...]) -> tuple[dict[Chord, int], SkewForm]:
-    """Chord -> arc index map and torus form of a triangulation, built once."""
-    return {c: i for i, c in enumerate(arcs)}, triangulation_form(n, arcs)
+def _triangulation(n: int, arcs: tuple[Chord, ...]):
+    """Chord -> arc index map, torus form and (position, chord) diagonals
+    of a triangulation, built once."""
+    return (
+        {c: i for i, c in enumerate(arcs)},
+        triangulation_form(n, arcs),
+        tuple((i, c) for i, c in enumerate(arcs) if not is_boundary_chord(n, c)),
+    )
 
 
 def expand_laurent(x: DiscElement, delta) -> TorusElement:
     """Image of x in the quantum torus of a triangulation.
 
     Clears denominators with the monomial of mu_delta(x), reduces, and
-    divides back inside the torus.
+    divides back inside the torus: M^(-mu) M^alpha is
+    v^(Lambda(-mu, alpha)) M^(alpha - mu), applied term by term.
     """
     n = x.n
     arcs = tuple(normalize_chord(n, c) for c in delta)
-    index, form = _triangulation(n, arcs)
+    index, form, diagonals = _triangulation(n, arcs)
     if x.is_zero():
         return TorusElement.zero(form)
-    m = mu_delta(n, arcs, x)
+    m = _crossings(len(arcs), diagonals, x)
     denom_key = tuple(sorted((c, k) for c, k in zip(arcs, m) if k))
-    denom = DiscElement._raw(n, {denom_key: {0: 1}})
-    numer = product(denom, x)
+    numer = product(DiscElement._raw(n, {denom_key: {0: 1}}), x)
+    # row[j] = Lambda(-mu, e_j), summed over the arcs mu crosses.
+    row = [0] * len(arcs)
+    for i, k in enumerate(m):
+        if k:
+            row = [r - k * l for r, l in zip(row, form.matrix[i])]
     terms = {}
     for key, c in numer._terms.items():
         alpha = [0] * len(arcs)
@@ -642,9 +789,9 @@ def expand_laurent(x: DiscElement, delta) -> TorusElement:
                     f"product is not supported on the triangulation: chord {ch} appears"
                 )
             alpha[index[ch]] = w
-        terms[tuple(alpha)] = c
-    shiftmono = TorusElement.monomial(form, tuple(-k for k in m))
-    return shiftmono * TorusElement._raw(form, terms)
+        s = sum(map(mul, row, alpha))
+        terms[tuple(map(sub, alpha, m))] = coeff_shift(c, s) if s else c
+    return TorusElement._raw(form, terms)
 
 
 def triangulation_seed(n: int, delta):

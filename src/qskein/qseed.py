@@ -334,8 +334,9 @@ def seeds_equal(s1: QuantumSeed, s2: QuantumSeed) -> bool:
 def enumerate_seeds(seed: QuantumSeed, max_seeds: int = 64, max_depth: int = 16):
     """BFS over the mutation pattern.
 
-    Returns (seeds, truncated); truncated is True when a cap stopped the
-    search before closure, so infinite exchange types never loop.  Each
+    Returns (seeds, truncated): at most max_seeds seeds, and truncated is
+    True when a cap stopped the search (reaching max_seeds counts as
+    stopping), so infinite exchange types never loop.  Each
     queued seed carries the index that produced it: mutation is an
     involution, so mutating there again would only rebuild its parent.
     """
@@ -344,6 +345,8 @@ def enumerate_seeds(seed: QuantumSeed, max_seeds: int = 64, max_depth: int = 16)
 
     seen = {key(seed): seed}
     out = [seed]
+    if max_seeds <= 1:
+        return out, bool(seed.ex)
     queue = deque([(seed, 0, None)])
     truncated = False
     while queue:

@@ -276,17 +276,16 @@ def check_catalan(rng: random.Random) -> tuple[bool, str]:
             return False, f"n={n}: enumeration found {len(all_deltas)}, expected {target}"
         start = next(iter(all_deltas))
         seen = {start}
-        frontier = [start]
+        frontier = [surf.from_chords(n, start)]
         while frontier:
-            delta = frontier.pop()
-            for c in delta:
-                if disc.is_boundary_chord(n, c):
-                    continue
-                new_delta, _ = disc.flip_diagonal(n, delta, c)
-                key = tuple(sorted(new_delta))
+            s = frontier.pop()
+            for j in s.internal_arcs():
+                flipped = surf.flip(s, j)
+                ends = (arc.ends for arc in flipped.arcs)
+                key = tuple(sorted((min(a, b) + 1, max(a, b) + 1) for a, b in ends))
                 if key not in seen:
                     seen.add(key)
-                    frontier.append(key)
+                    frontier.append(flipped)
         if seen != all_deltas:
             return False, f"n={n}: flip orbit size {len(seen)}, expected {target}"
     return True, "flip orbits match exhaustive enumeration: 5, 14, 42"

@@ -201,6 +201,17 @@ class TestSeed:
         assert out == ""
         assert "input error: --max-depth" in err
 
+    def test_enumerate_with_max_seeds_one_returns_one_seed(self, capsys):
+        code, out, _ = run_cli(capsys, "seed", "enumerate", "--preset", "pentagon", "--max-seeds", "1")
+        assert code == 0
+        assert out.strip() == "1 seed(s); truncated: true"
+        code, out, _ = run_cli(
+            capsys, "--json", "seed", "enumerate", "--preset", "pentagon", "--max-seeds", "1"
+        )
+        data = json.loads(out)
+        assert data["count"] == len(data["seeds"]) == 1
+        assert QuantumSeed.from_json(data["seeds"][0]) == cli._disc_preset(5)
+
     def test_enumerate_at_depth_zero_keeps_the_initial_seed(self, capsys):
         code, out, _ = run_cli(
             capsys, "--json", "seed", "enumerate", "--preset", "pentagon", "--max-depth", "0"
@@ -234,7 +245,15 @@ class TestSeed:
     def test_mutate_at_frozen_index_is_an_input_error(self, capsys):
         code, _, err = run_cli(capsys, "seed", "mutate", "--preset", "pentagon", "--at", "0")
         assert code == 2
-        assert "input error" in err
+        assert err.startswith("input error: --at: index 0 is not exchangeable")
+
+    def test_mutate_blames_an_incompatible_state_on_the_state(self, capsys):
+        lam = SkewForm([[0, 1, 0], [-1, 0, 1], [0, -1, 0]])
+        state = json.dumps(QuantumSeed.initial(lam, [[0], [1], [1]], (0,)).to_json())
+        code, out, err = run_cli(capsys, "seed", "mutate", "--state", state, "--at", "0")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("input error: --state: (Lambda B)[1][0] = 1, expected 0")
 
     def test_unknown_preset(self, capsys):
         code, _, err = run_cli(capsys, "seed", "check", "--preset", "torus")

@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 
 from qskein import disc
 from qskein import surface as surf
+from qskein._kernels import coeff_add, coeff_mul, coeff_shift
 from qskein.disc import DiscElement, InhomogeneousError, LocalizationError
 from qskein.qcoeff import QCoeff
+from qskein.qtorus import TorusElement
 
 
 def words(n, max_len=3):
@@ -147,6 +149,14 @@ class TestElementAlgebra:
         assert DiscElement.from_json(data) == x
         assert DiscElement.from_json(data).to_json() == data
 
+    def test_constructor_rejects_keys_that_are_not_simple(self):
+        with pytest.raises(ValueError, match="not simple"):
+            DiscElement(4, {(((1, 3), 1), ((2, 4), 1)): QCoeff.one()})
+        with pytest.raises(ValueError, match="duplicate"):
+            DiscElement(4, {(((1, 3), 1),): QCoeff.one(), (((3, 1), 1),): QCoeff.one()})
+        x = DiscElement(4, {(((3, 4), 1), ((2, 1), 2)): QCoeff.one()})
+        assert x == DiscElement.basis(4, [(1, 2), (1, 2), (3, 4)])
+
     def test_json_rejects_duplicates(self):
         data = disc.reduce_word(4, [(1, 3), (2, 4)]).to_json()
         data["terms"].append(dict(data["terms"][0]))
@@ -279,3 +289,192 @@ class TestExpansion:
         x = disc.localize(DiscElement.one(4), {(1, 2): -1})
         e = disc.expand_laurent(x, fan4)
         assert e.support() == [(-1, 0, 0, 0, 0)]
+
+
+# -- oracles: the tuple-chord rewriting the interned one replaced -------------
+
+
+def _split_key(n, key):
+    """Split into (boundary weight dict, internal word tuple)."""
+    bnd, word = {}, []
+    for c, w in key:
+        if disc.is_boundary_chord(n, c):
+            bnd[c] = w
+        else:
+            word.extend([c] * w)
+    return bnd, tuple(word)
+
+
+def _lam_weighted(n, a, b):
+    b = list(b)
+    return sum(wx * wy * disc.lam_pair(n, x, y) for x, wx in a for y, wy in b)
+
+
+def _word_twist(n, word):
+    """Sum of lam_pair over ordered pairs i < j of the word."""
+    return sum(
+        disc.lam_pair(n, word[i], word[j]) for i in range(len(word)) for j in range(i + 1, len(word))
+    )
+
+
+def oracle_reduce_word(n, word, rng=None):
+    """reduce_word on chord tuples, with the full admissible-pair list."""
+    word = tuple(disc.normalize_chord(n, c) for c in word)
+    out = {}
+    stack = [(word, {0: 1})]
+    while stack:
+        w, coef = stack.pop()
+        pairs = [
+            (i, j)
+            for i in range(len(w))
+            for j in range(i + 1, len(w))
+            if disc.crosses(w[i], w[j])
+            and all(not disc.crosses(w[m], w[j]) for m in range(i + 1, j))
+        ]
+        if not pairs:
+            key = disc.multiset_key(n, w)
+            shifted = coeff_shift(coef, _word_twist(n, w))
+            cur = out.get(key)
+            s = coeff_add(cur, shifted) if cur is not None else shifted
+            if s:
+                out[key] = s
+            else:
+                out.pop(key, None)
+            continue
+        if rng is None:
+            i, j = min(pairs, key=lambda p: (p[1] - p[0], p[0]))
+        else:
+            i, j = pairs[rng.randrange(len(pairs))]
+        shift = 2 * sum(disc.lam_pair(n, w[m], w[j]) for m in range(i + 1, j))
+        prefix = w[:i]
+        suffix = w[i + 1 : j] + w[j + 1 :]
+        (u1, u2), (t1, t2) = disc._smooth(n, w[i], w[j])
+        base = coeff_shift(coef, shift)
+        stack.append((prefix + (u1, u2) + suffix, coeff_shift(base, 2)))
+        stack.append((prefix + (t1, t2) + suffix, coeff_shift(base, -2)))
+    return DiscElement._raw(n, out)
+
+
+def oracle_product(x, y):
+    """product on chord tuples, through oracle_reduce_word."""
+    n = x.n
+    out = {}
+    memo = {}
+    for kx, cx in x._terms.items():
+        bx, wx = _split_key(n, kx)
+        twist_x = -_lam_weighted(n, bx.items(), ((c, 1) for c in wx)) - _word_twist(n, wx)
+        for ky, cy in y._terms.items():
+            by, wy = _split_key(n, ky)
+            word = wx + wy
+            reduced = memo.get(word)
+            if reduced is None:
+                reduced = memo[word] = oracle_reduce_word(n, word)
+            shift = (
+                twist_x
+                - _lam_weighted(n, by.items(), ((c, 1) for c in wy))
+                - _word_twist(n, wy)
+                + 2 * _lam_weighted(n, ((c, 1) for c in wx), by.items())
+                + _lam_weighted(n, bx.items(), by.items())
+            )
+            bnd = dict(bx)
+            for c, w in by.items():
+                bnd[c] = bnd.get(c, 0) + w
+            cxy = coeff_shift(coeff_mul(cx, cy), shift)
+            for rkey, rcoef in reduced._terms.items():
+                s2 = _lam_weighted(n, bnd.items(), rkey)
+                merged = dict(bnd)
+                for c, w in rkey:
+                    merged[c] = merged.get(c, 0) + w
+                key = tuple(sorted((c, w) for c, w in merged.items() if w))
+                piece = coeff_shift(coeff_mul(cxy, rcoef), s2)
+                cur = out.get(key)
+                s = coeff_add(cur, piece) if cur is not None else piece
+                if s:
+                    out[key] = s
+                else:
+                    out.pop(key, None)
+    return DiscElement._raw(n, out)
+
+
+def oracle_expand_laurent(x, delta):
+    """expand_laurent as the torus product M^(-mu) * T, through oracle_product."""
+    n = x.n
+    arcs = tuple(disc.normalize_chord(n, c) for c in delta)
+    form = disc.triangulation_form(n, arcs)
+    m = disc.mu_delta(n, arcs, x)
+    denom = DiscElement._raw(n, {tuple(sorted((c, k) for c, k in zip(arcs, m) if k)): {0: 1}})
+    terms = {}
+    for key, c in oracle_product(denom, x)._terms.items():
+        alpha = [0] * len(arcs)
+        for ch, w in key:
+            alpha[arcs.index(ch)] = w
+        terms[tuple(alpha)] = c
+    return TorusElement.monomial(form, tuple(-k for k in m)) * TorusElement._raw(form, terms)
+
+
+def long_words(n, max_len=8):
+    return st.lists(st.sampled_from(disc.all_chords(n)), min_size=0, max_size=max_len)
+
+
+@st.composite
+def localized(draw, n):
+    """A reduced word times boundary chords of weight -2..2."""
+    x = disc.reduce_word(n, draw(words(n, 4)))
+    bnd = draw(st.dictionaries(st.sampled_from(disc.boundary_chords(n)), st.integers(-2, 2), max_size=3))
+    return disc.localize(x, bnd)
+
+
+class TestAgainstOracles:
+    @given(st.integers(3, 12).flatmap(lambda n: st.tuples(st.just(n), long_words(n))))
+    @settings(max_examples=150, deadline=None)
+    def test_reduce_word_matches_the_tuple_rewriting(self, case):
+        n, word = case
+        got = disc.reduce_word(n, word)
+        assert got == oracle_reduce_word(n, word)
+        assert disc.reduce_word(n, word, rng=random.Random(len(word))) == got
+
+    @given(st.integers(3, 12).flatmap(lambda n: st.tuples(localized(n), localized(n))))
+    @settings(max_examples=100, deadline=None)
+    def test_product_with_localized_boundary_matches_the_oracle(self, case):
+        x, y = case
+        assert disc.product(x, y) == oracle_product(x, y)
+
+    def test_localization_weights_reach_the_product(self):
+        x = disc.localize(disc.reduce_word(6, [(1, 3), (2, 5)]), {(1, 2): -2, (5, 6): 1})
+        y = disc.localize(disc.reduce_word(6, [(2, 4), (1, 5)]), {(2, 3): -1, (1, 6): 2})
+        assert any(w < 0 for key in x.support() for _, w in key)
+        assert disc.product(x, y) == oracle_product(x, y)
+        assert disc.product(y, x) == oracle_product(y, x)
+
+    def test_expand_laurent_matches_the_torus_product_for_every_chord(self):
+        count = 0
+        for n in range(3, 8):
+            for delta in disc.enumerate_triangulations(n):
+                for c in disc.all_chords(n):
+                    x = DiscElement.basis(n, [c])
+                    assert disc.expand_laurent(x, delta) == oracle_expand_laurent(x, delta)
+                    count += 1
+        assert count == 1157
+
+    def test_expand_laurent_matches_the_torus_product_on_two_chord_words(self):
+        rng = random.Random(6)
+        deltas = [(n, d) for n in range(3, 8) for d in disc.enumerate_triangulations(n)]
+        assert len(deltas) == 64
+        for k in range(200):
+            n, delta = deltas[k % len(deltas)]
+            chords = disc.all_chords(n)
+            x = disc.reduce_word(n, [rng.choice(chords), rng.choice(chords)])
+            assert disc.expand_laurent(x, delta) == oracle_expand_laurent(x, delta)
+
+    def test_two_chords_on_a_thousand_points(self):
+        word = [(1, 500), (250, 750)]
+        got = disc.reduce_word(1000, word)
+        assert got == oracle_reduce_word(1000, word)
+        assert len(got.support()) == 2
+
+    def test_wide_product_on_sixty_points(self):
+        x = DiscElement.basis(60, [(3 * k - 2, 3 * k) for k in range(1, 21)])
+        y = DiscElement.basis(60, [(2, 59)])
+        got = disc.product(x, y)
+        assert got == oracle_product(x, y)
+        assert len(got.support()) == 4

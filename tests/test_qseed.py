@@ -208,6 +208,11 @@ class TestEnumeration:
         assert len(seeds) == 2
         assert truncated
 
+    def test_a_cap_of_one_returns_the_start_alone(self, pentagon):
+        seeds, truncated = qseed.enumerate_seeds(pentagon, max_seeds=1)
+        assert seeds == [pentagon]
+        assert truncated
+
     @pytest.mark.parametrize(
         "name, max_seeds, max_depth", [("disc:7", 99, 16), ("disc:7", 99, 3), ("annulus", 16, 64)]
     )
