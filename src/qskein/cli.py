@@ -388,8 +388,7 @@ def cmd_surface_matrices(args) -> int:
 def cmd_annulus_verify(args) -> int:
     if args.range < 0:
         raise InputError("--range must be nonnegative")
-    bound = max(args.bound, args.range + 3)
-    model = AnnulusModel(bound=bound)
+    model = AnnulusModel(bound=args.range + 3)
     results = model.verify_identities(irange=args.range)
     ok = all(r["ok"] for r in results)
     if args.mode == "json":
@@ -559,7 +558,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", parents=[common], help="verify the annulus relation families")
     p.add_argument("--range", type=int, default=5, help="check indices |i| up to this bound")
-    p.add_argument("--bound", type=int, default=8, help="cluster variable cache bound")
     p.set_defaults(func=cmd_annulus_verify)
 
     # verify ----------------------------------------------------------------

@@ -597,8 +597,8 @@ def mu_delta(n: int, delta, x: DiscElement) -> tuple[int, ...]:
 
     Raises ValueError when delta does not triangulate the n-gon.
     """
-    arcs = tuple(normalize_chord(n, c) for c in delta)
-    return _crossings(len(arcs), _triangulation(n, arcs)[2], x)
+    arcs, _, _, diagonals = _triangulation(n, tuple(map(tuple, delta)))
+    return _crossings(len(arcs), diagonals, x)
 
 
 def _crossings(size: int, diagonals, x: DiscElement) -> tuple[int, ...]:
@@ -750,10 +750,12 @@ def triangulation_form(n: int, delta) -> SkewForm:
 
 
 @functools.lru_cache(maxsize=256)
-def _triangulation(n: int, arcs: tuple[Chord, ...]):
-    """Chord -> arc index map, torus form and (position, chord) diagonals
-    of a triangulation, built once."""
+def _triangulation(n: int, delta: tuple[tuple, ...]):
+    """Normalised arcs, chord -> arc index map, torus form and (position,
+    chord) diagonals of a triangulation, built once per delta."""
+    arcs = tuple(normalize_chord(n, c) for c in delta)
     return (
+        arcs,
         {c: i for i, c in enumerate(arcs)},
         triangulation_form(n, arcs),
         tuple((i, c) for i, c in enumerate(arcs) if not is_boundary_chord(n, c)),
@@ -768,8 +770,7 @@ def expand_laurent(x: DiscElement, delta) -> TorusElement:
     v^(Lambda(-mu, alpha)) M^(alpha - mu), applied term by term.
     """
     n = x.n
-    arcs = tuple(normalize_chord(n, c) for c in delta)
-    index, form, diagonals = _triangulation(n, arcs)
+    arcs, index, form, diagonals = _triangulation(n, tuple(map(tuple, delta)))
     if x.is_zero():
         return TorusElement.zero(form)
     m = _crossings(len(arcs), diagonals, x)

@@ -1,22 +1,28 @@
 """Combinatorial triangulated marked surfaces.
 
-A surface is stored purely combinatorially:
+A surface is its fans: for every marked point, the ordered list of
+incident arc ends ``(arc, end)``, most clockwise first, with ends 0 and
+1 of arcs 0..n-1 each listed once.  The constructor
+``TriangulatedSurface(fans)`` derives everything else:
 
-* ``arcs``: each arc has a boundary flag and two ends (0 and 1); the
-  record keeps the marked point each end lies at.
-* ``fans``: for every marked point, the ordered list of incident arc
-  ends, most clockwise first.  The first and last entries are always
-  ends of boundary arcs (the two boundary directions at the point).
+* ``arcs``: for each arc, the marked points of its two ends, and a
+  boundary flag.  An arc is a boundary arc when one of its ends sits
+  first or last in its fan; it then runs from a first end to a last one
+  (the two boundary directions at each point).
 * ``triangles``: cyclically ordered triples of darts.  A dart ``(a, d)``
-  is arc ``a`` traversed from end ``d`` to end ``1-d``.  Consecutive
-  darts share a corner: the arriving end sits immediately clockwise of
-  the leaving end in that point's fan.
+  is arc ``a`` traversed from end ``d`` to end ``1-d``.  The dart
+  arriving at a non-last fan end is followed by the dart leaving from
+  the next end of that fan; the faces are the cycles of this map, each
+  rotated to start at its smallest dart, and listed in sorted order.
 
 All matrices attached to a triangulation (orientation matrix, skew
 adjacency matrix, exchange matrix) depend only on the fan orders, so
 arcs are homotopy-class representatives, never geometric curves.
-Builders cover genus-0 cases (discs, annuli, disjoint unions); the data
-model itself permits any genus.
+Builders, flips and cuts edit fans only.  Surface JSON lists
+``marked_points`` (the fans), the derived ``arcs`` and ``triangles``,
+and ``components``; ``from_json`` rejects a payload whose arcs or
+triangles disagree with its fans.  Builders cover genus-0 cases (discs,
+annuli, disjoint unions); the data model itself permits any genus.
 """
 
 from __future__ import annotations
@@ -45,19 +51,14 @@ class CutError(ValueError):
 
 
 class TriangulatedSurface:
-    """Immutable triangulated surface; operations return new surfaces."""
+    """Immutable triangulated surface given by its fans; operations return
+    new surfaces."""
 
     __slots__ = ("arcs", "fans", "triangles")
 
-    def __init__(self, arcs, fans, triangles):
-        self.arcs: tuple[Arc, ...] = tuple(
-            Arc(bool(a[0]), (int(a[1][0]), int(a[1][1]))) for a in arcs
-        )
+    def __init__(self, fans):
         self.fans: tuple[tuple[ArcEnd, ...], ...] = tuple(
             tuple((int(a), int(e)) for a, e in fan) for fan in fans
-        )
-        self.triangles: tuple[tuple[Dart, Dart, Dart], ...] = tuple(
-            tuple((int(a), int(d)) for a, d in tri) for tri in triangles
         )
         self.validate()
 
@@ -82,86 +83,50 @@ class TriangulatedSurface:
         a, d = dart
         return self.arcs[a].ends[1 - d]
 
-    def _fan_pos(self, end: ArcEnd) -> tuple[int, int]:
-        """(marked point, position) of an arc end."""
-        a, e = end
-        p = self.arcs[a].ends[e]
-        return p, self.fans[p].index((a, e))
-
-    # -- validation ---------------------------------------------------------
+    # -- derivation and validation -------------------------------------------
 
     def validate(self) -> None:
-        n_arcs = len(self.arcs)
-        placed: dict[ArcEnd, int] = {}
+        """Derive ``arcs`` and ``triangles`` from the fans, checking that
+        the fans describe a triangulated surface."""
+        at: dict[ArcEnd, tuple[int, int]] = {}
         for p, fan in enumerate(self.fans):
             if len(fan) < 2:
                 raise ValueError(f"marked point {p} has fewer than two arc ends")
-            for a, e in fan:
-                if not (0 <= a < n_arcs and e in (0, 1)):
-                    raise ValueError(f"fan of point {p} references invalid end ({a},{e})")
-                if (a, e) in placed:
-                    raise ValueError(f"arc end ({a},{e}) appears twice")
-                placed[(a, e)] = p
-            for end, where in (("first", fan[0]), ("last", fan[-1])):
-                if not self.arcs[where[0]].boundary:
-                    raise ValueError(
-                        f"{end} end at point {p} is not a boundary arc end"
-                    )
-            for a, e in fan[1:-1]:
-                if self.arcs[a].boundary:
-                    raise ValueError(
-                        f"boundary arc end ({a},{e}) sits inside the fan of point {p}"
-                    )
-        for i, arc in enumerate(self.arcs):
-            for e in (0, 1):
-                if placed.get((i, e)) != arc.ends[e]:
-                    raise ValueError(
-                        f"end {e} of arc {i} is not in the fan of point {arc.ends[e]}"
-                    )
+            for k, end in enumerate(fan):
+                if end in at:
+                    raise ValueError(f"arc end {end} appears twice")
+                at[end] = (p, k)
+        if set(at) != {(a, e) for a in range(len(at) // 2) for e in (0, 1)}:
+            raise ValueError("the fans must hold ends 0 and 1 of arcs 0..n-1")
 
-        # Each dart is used exactly once; internal arcs carry both darts,
-        # boundary arcs exactly one.
-        darts_seen: set[Dart] = set()
-        for tri in self.triangles:
-            if len(tri) != 3:
-                raise ValueError("triangles must have three sides")
-            for a, d in tri:
-                if not (0 <= a < n_arcs and d in (0, 1)):
-                    raise ValueError(f"triangle references invalid dart ({a},{d})")
-                if (a, d) in darts_seen:
-                    raise ValueError(f"dart ({a},{d}) borders two triangles")
-                darts_seen.add((a, d))
-        for i, arc in enumerate(self.arcs):
-            have = [(i, d) in darts_seen for d in (0, 1)]
-            if arc.boundary and sum(have) != 1:
-                raise ValueError(f"boundary arc {i} must border exactly one triangle")
-            if not arc.boundary and sum(have) != 2:
-                raise ValueError(f"internal arc {i} must border two triangles")
-
-        # Corner conditions: consecutive darts meet at fan-adjacent ends,
-        # and every adjacent fan pair is a corner exactly once.
-        corners: set[tuple[int, int]] = set()
-        for tri in self.triangles:
-            for k in range(3):
-                d1 = tri[k]
-                d2 = tri[(k + 1) % 3]
-                arrive = (d1[0], 1 - d1[1])
-                leave = d2
-                p1, pos1 = self._fan_pos(arrive)
-                p2, pos2 = self._fan_pos(leave)
-                if p1 != p2 or pos2 != pos1 + 1:
-                    raise ValueError(
-                        f"darts {d1} -> {d2} do not meet at a corner "
-                        f"(arrive {arrive} at {p1}#{pos1}, leave {leave} at {p2}#{pos2})"
-                    )
-                if (p1, pos1) in corners:
-                    raise ValueError(f"corner at point {p1} position {pos1} reused")
-                corners.add((p1, pos1))
-        expected = sum(len(fan) - 1 for fan in self.fans)
-        if len(corners) != expected:
-            raise ValueError(
-                f"{len(corners)} corners for {expected} adjacent fan pairs"
+        arcs = []
+        for i in range(len(at) // 2):
+            places = (at[(i, 0)], at[(i, 1)])
+            sides = sorted(
+                -1 if k == 0 else 1 if k == len(self.fans[p]) - 1 else 0
+                for p, k in places
             )
+            if sides not in ([0, 0], [-1, 1]):
+                raise ValueError(
+                    f"boundary arc {i} does not run from a first fan end to a last one"
+                )
+            arcs.append(Arc(sides == [-1, 1], (places[0][0], places[1][0])))
+
+        # The dart arriving at a non-last fan end is followed by the dart
+        # leaving from the next end; the faces are the cycles of this map.
+        follow = {
+            (a, 1 - e): leave for fan in self.fans for (a, e), leave in zip(fan, fan[1:])
+        }
+        triangles = []
+        while follow:
+            face = [min(follow)]
+            while (dart := follow.pop(face[-1])) != face[0]:
+                face.append(dart)
+            if len(face) != 3:
+                raise ValueError(f"face {face} is not a triangle")
+            triangles.append(tuple(face))
+        self.arcs: tuple[Arc, ...] = tuple(arcs)
+        self.triangles: tuple[tuple[Dart, Dart, Dart], ...] = tuple(triangles)
 
         # Topological counts must close up per component.
         for comp in self.components():
@@ -195,16 +160,9 @@ class TriangulatedSurface:
         for p in range(self.n_points):
             comp_points.setdefault(find(p), []).append(p)
 
-        # Boundary circles: walk boundary darts.  Arriving at a point's
-        # position-0 end, the walk leaves through the last-position end.
-        next_walk: dict[int, int] = {}
-        for i, arc in enumerate(self.arcs):
-            if not arc.boundary:
-                continue
-            d = 0 if ((i, 0) in {dd for tri in self.triangles for dd in tri}) else 1
-            target = self.arcs[i].ends[1 - d]
-            out_end = self.fans[target][-1]
-            next_walk[i] = out_end[0]
+        # Boundary circles: walk boundary arcs.  The boundary arc whose end
+        # is first at a point is followed by the one whose end is last.
+        next_walk = {fan[0][0]: fan[-1][0] for fan in self.fans}
         circles: dict[int, int] = {}
         unvisited = set(next_walk)
         while unvisited:
@@ -243,32 +201,17 @@ class TriangulatedSurface:
     # -- identity up to relabeling -------------------------------------------
 
     def canonical(self):
-        """Structure with arc-end orientations normalized.
+        """Fans with arc-end orientations normalized.
 
         End 0 of each arc is redeclared to be the end met first when
-        scanning fans in point order; triangles are rotated min-first
-        and sorted.  Two surfaces are equal when these agree.
+        scanning fans in point order.  Two surfaces are equal when these
+        agree.
         """
         swap: dict[int, int] = {}
         for fan in self.fans:
             for a, e in fan:
-                if a not in swap:
-                    swap[a] = e
-        arcs = tuple(
-            (
-                arc.boundary,
-                arc.ends if swap[i] == 0 else (arc.ends[1], arc.ends[0]),
-            )
-            for i, arc in enumerate(self.arcs)
-        )
-        fans = tuple(
-            tuple((a, e ^ swap[a]) for a, e in fan) for fan in self.fans
-        )
-        tris = []
-        for tri in self.triangles:
-            t = tuple((a, d ^ swap[a]) for a, d in tri)
-            tris.append(min(t[k:] + t[:k] for k in range(3)))
-        return (arcs, fans, tuple(sorted(tris)))
+                swap.setdefault(a, e)
+        return tuple(tuple((a, e ^ swap[a]) for a, e in fan) for fan in self.fans)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, TriangulatedSurface) and self.canonical() == other.canonical()
@@ -307,12 +250,27 @@ class TriangulatedSurface:
 
     @classmethod
     def from_json(cls, data) -> TriangulatedSurface:
+        """Surface built from ``marked_points``.
+
+        Raises ValueError when the payload's ``arcs`` or ``triangles``
+        (in any order and rotation) disagree with those of the fans.
+        """
         if isinstance(data, str):
             data = json.loads(data)
-        arcs = [(a["boundary"], (a["ends"][0], a["ends"][1])) for a in data["arcs"]]
-        fans = [[(e[0], e[1]) for e in p["ends"]] for p in data["marked_points"]]
-        triangles = [[(d[0], d[1]) for d in tri] for tri in data["triangles"]]
-        return cls(arcs, fans, triangles)
+        s = cls([(e[0], e[1]) for e in p["ends"]] for p in data["marked_points"])
+        arcs = [
+            Arc(a["boundary"], (int(a["ends"][0]), int(a["ends"][1])))
+            for a in data["arcs"]
+        ]
+        if arcs != list(s.arcs):
+            raise ValueError("arcs disagree with the fans of the marked points")
+        triangles = []
+        for tri in data["triangles"]:
+            t = tuple((int(a), int(d)) for a, d in tri)
+            triangles.append(min(t[k:] + t[:k] for k in range(len(t))))
+        if sorted(triangles) != list(s.triangles):
+            raise ValueError("triangles disagree with the fans of the marked points")
+        return s
 
 
 # -- matrices ---------------------------------------------------------------
@@ -366,29 +324,25 @@ def to_seed(s: TriangulatedSurface) -> QuantumSeed:
 
 
 def _disc3() -> TriangulatedSurface:
-    arcs = [(True, (0, 1)), (True, (1, 2)), (True, (2, 0))]
-    fans = [
-        [(2, 1), (0, 0)],
-        [(0, 1), (1, 0)],
-        [(1, 1), (2, 0)],
-    ]
-    triangles = [((0, 0), (1, 0), (2, 0))]
-    return TriangulatedSurface(arcs, fans, triangles)
+    return TriangulatedSurface(
+        [
+            [(2, 1), (0, 0)],
+            [(0, 1), (1, 0)],
+            [(1, 1), (2, 0)],
+        ]
+    )
 
 
 def _annulus11() -> TriangulatedSurface:
-    # Points: 0 on the outer boundary, 1 on the inner one.  Arcs: a and b
-    # are the boundary circles, x0 and x1 the two parallel internal arcs.
-    arcs = [(True, (0, 0)), (True, (1, 1)), (False, (0, 1)), (False, (0, 1))]
-    fans = [
-        [(0, 0), (3, 0), (2, 0), (0, 1)],
-        [(1, 0), (3, 1), (2, 1), (1, 1)],
-    ]
-    triangles = [
-        ((0, 1), (3, 0), (2, 1)),
-        ((1, 1), (3, 1), (2, 0)),
-    ]
-    return TriangulatedSurface(arcs, fans, triangles)
+    # Points: 0 on the outer boundary, 1 on the inner one.  Arcs: a = 0 and
+    # b = 1 are the boundary circles, x0 = 2 and x1 = 3 the two parallel
+    # internal arcs.
+    return TriangulatedSurface(
+        [
+            [(0, 0), (3, 0), (2, 0), (0, 1)],
+            [(1, 0), (3, 1), (2, 1), (1, 1)],
+        ]
+    )
 
 
 def split_boundary_arc(s: TriangulatedSurface, arc: int) -> TriangulatedSurface:
@@ -401,27 +355,16 @@ def split_boundary_arc(s: TriangulatedSurface, arc: int) -> TriangulatedSurface:
     """
     if not s.arcs[arc].boundary:
         raise ValueError(f"arc {arc} is not a boundary arc")
-    (dart,) = [
-        (a, d) for tri in s.triangles for a, d in tri if a == arc
-    ]
-    de = dart[1]
-    u = s.dart_start(dart)
-    w = s.dart_target(dart)
-    m = s.n_points
+    # The arc's end is last in the fan of u and first in the fan of w.
+    (u,) = [p for p, fan in enumerate(s.fans) if fan[-1][0] == arc]
+    (w,) = [p for p, fan in enumerate(s.fans) if fan[0][0] == arc]
     e1 = s.n_arcs
     e2 = s.n_arcs + 1
-    arcs = [
-        (a.boundary if i != arc else False, a.ends) for i, a in enumerate(s.arcs)
-    ]
-    arcs.append((True, (u, m)))
-    arcs.append((True, (m, w)))
     fans = [list(fan) for fan in s.fans]
     fans[u].append((e1, 0))
     fans[w].insert(0, (e2, 1))
     fans.append([(e1, 1), (e2, 0)])
-    triangles = list(s.triangles)
-    triangles.append(((e1, 0), (e2, 0), (arc, 1 - de)))
-    return TriangulatedSurface(arcs, fans, triangles)
+    return TriangulatedSurface(fans)
 
 
 def build_disc(n: int) -> TriangulatedSurface:
@@ -445,9 +388,8 @@ def from_chords(n: int, arcs) -> TriangulatedSurface:
 
     Chords join marked points 1..n, numbered clockwise; marked point p is
     surface point p - 1.  The fan at p orders the other endpoints u of
-    its chords by (p - u) mod n, and each triangle a < b < c is the dart
-    cycle a -> b -> c -> a.  Chords that do not triangulate the n-gon
-    (out of range, repeated, crossing, or too few or many) raise
+    its chords by (p - u) mod n.  Chords that do not triangulate the
+    n-gon (out of range, repeated, crossing, or too few or many) raise
     ValueError.
     """
     from .disc import crosses
@@ -468,22 +410,13 @@ def from_chords(n: int, arcs) -> TriangulatedSurface:
         raise ValueError(
             f"a triangulation of the {n}-gon has {2 * n - 3} chords, got {len(chords)}"
         )
-    index = {c: i for i, c in enumerate(chords)}
     fans: list[list[ArcEnd]] = [[] for _ in range(n)]
     for i, (a, b) in enumerate(chords):
         fans[a - 1].append((i, 0))
         fans[b - 1].append((i, 1))
     for p, fan in enumerate(fans, 1):
         fan.sort(key=lambda end: (p - chords[end[0]][1 - end[1]]) % n)
-    triangles = [
-        ((index[(a, b)], 0), (index[(b, c)], 0), (index[(a, c)], 1))
-        for a, b in index
-        for c in range(b + 1, n + 1)
-        if (b, c) in index and (a, c) in index
-    ]
-    return TriangulatedSurface(
-        [(b - a in (1, n - 1), (a - 1, b - 1)) for a, b in chords], fans, triangles
-    )
+    return TriangulatedSurface(fans)
 
 
 def build_annulus(p: int, q: int) -> TriangulatedSurface:
@@ -503,14 +436,9 @@ def build_annulus(p: int, q: int) -> TriangulatedSurface:
 
 def disjoint_union(s1: TriangulatedSurface, s2: TriangulatedSurface) -> TriangulatedSurface:
     ao = s1.n_arcs
-    po = s1.n_points
-    arcs = [(a.boundary, a.ends) for a in s1.arcs]
-    arcs += [(a.boundary, (a.ends[0] + po, a.ends[1] + po)) for a in s2.arcs]
     fans = [list(fan) for fan in s1.fans]
     fans += [[(a + ao, e) for a, e in fan] for fan in s2.fans]
-    triangles = list(s1.triangles)
-    triangles += [tuple((a + ao, d) for a, d in tri) for tri in s2.triangles]
-    return TriangulatedSurface(arcs, fans, triangles)
+    return TriangulatedSurface(fans)
 
 
 # -- flip ----------------------------------------------------------------------
@@ -526,38 +454,20 @@ def flip(s: TriangulatedSurface, j: int) -> TriangulatedSurface:
         raise FlipError(f"arc {j} does not exist (arcs are 0..{s.n_arcs - 1})")
     if s.arcs[j].boundary:
         raise FlipError(f"boundary arc {j} cannot be flipped")
-    t1_idx = t2_idx = None
-    for idx, tri in enumerate(s.triangles):
-        if (j, 0) in tri:
-            t1_idx = idx
-        if (j, 1) in tri:
-            t2_idx = idx
-    if t1_idx == t2_idx:
+    (t1,) = [tri for tri in s.triangles if (j, 0) in tri]
+    if (j, 1) in t1:
         raise FlipError(f"arc {j} borders the same triangle twice (not flippable)")
-    t1 = s.triangles[t1_idx]
-    t2 = s.triangles[t2_idx]
-    k = t1.index((j, 0))
-    _, s1, s2 = t1[k:] + t1[:k]
-    k = t2.index((j, 1))
-    _, s3, s4 = t2[k:] + t2[:k]
-    a_pt = s.arcs[j].ends[0]
-    c_pt = s.arcs[j].ends[1]
-    p_pt = s.dart_target(s1)
-    q_pt = s.dart_target(s3)
-
-    arcs = [(a.boundary, a.ends) for a in s.arcs]
-    arcs[j] = (False, (p_pt, q_pt))
+    (t2,) = [tri for tri in s.triangles if (j, 1) in tri]
+    # The new arc runs from where the dart after (j, 0) arrives to where
+    # the dart after (j, 1) arrives, next after each arriving end in its fan.
     fans = [list(fan) for fan in s.fans]
-    fans[a_pt].remove((j, 0))
-    fans[c_pt].remove((j, 1))
-    arr1 = (s1[0], 1 - s1[1])
-    arr3 = (s3[0], 1 - s3[1])
-    fans[p_pt].insert(fans[p_pt].index(arr1) + 1, (j, 0))
-    fans[q_pt].insert(fans[q_pt].index(arr3) + 1, (j, 1))
-    triangles = list(s.triangles)
-    triangles[t1_idx] = (s2, s3, (j, 1))
-    triangles[t2_idx] = (s4, s1, (j, 0))
-    return TriangulatedSurface(arcs, fans, triangles)
+    fans[s.arcs[j].ends[0]].remove((j, 0))
+    fans[s.arcs[j].ends[1]].remove((j, 1))
+    for tri, end in ((t1, (j, 0)), (t2, (j, 1))):
+        a, d = tri[(tri.index(end) + 1) % 3]
+        fan = fans[s.dart_target((a, d))]
+        fan.insert(fan.index((a, 1 - d)) + 1, end)
+    return TriangulatedSurface(fans)
 
 
 # -- cut --------------------------------------------------------------------------
@@ -581,35 +491,13 @@ def cut(s: TriangulatedSurface, j: int) -> TriangulatedSurface:
             "cutting along an arc with equal endpoints is not supported"
         )
     nb = s.n_arcs
-    ub = s.n_points
-    wb = s.n_points + 1
-
-    fan_u = list(s.fans[u])
-    fan_w = list(s.fans[w])
+    fan_u = s.fans[u]
+    fan_w = s.fans[w]
     k = fan_u.index((j, 0))
     t = fan_w.index((j, 1))
-    fan_a_u = fan_u[:k] + [(j, 0)]
-    fan_b_u = [(nb, 0)] + fan_u[k + 1 :]
-    fan_a_w = [(j, 1)] + fan_w[t + 1 :]
-    fan_b_w = fan_w[:t] + [(nb, 1)]
-
-    arcs = [[a.boundary, list(a.ends)] for a in s.arcs]
-    arcs[j][0] = True
-    arcs.append([True, [ub, wb]])
-    for a, e in fan_b_u:
-        arcs[a][1][e] = ub
-    for a, e in fan_b_w:
-        arcs[a][1][e] = wb
-
-    fans = [list(fan) for fan in s.fans]
-    fans[u] = fan_a_u
-    fans[w] = fan_a_w
-    fans.append(fan_b_u)
-    fans.append(fan_b_w)
-
-    triangles = []
-    for tri in s.triangles:
-        triangles.append(tuple((nb, d) if (a, d) == (j, 1) else (a, d) for a, d in tri))
-    return TriangulatedSurface(
-        [(b, (e[0], e[1])) for b, e in arcs], fans, triangles
-    )
+    fans = list(s.fans)
+    fans[u] = fan_u[: k + 1]
+    fans[w] = fan_w[t:]
+    fans.append(((nb, 0),) + fan_u[k + 1 :])
+    fans.append(fan_w[:t] + ((nb, 1),))
+    return TriangulatedSurface(fans)

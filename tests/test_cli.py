@@ -309,6 +309,14 @@ class TestSurface:
         assert code == 2
         assert "at least 3" in err
 
+    def test_arcs_disagreeing_with_fans_are_an_input_error(self, capsys):
+        data = json.loads(self.build(capsys, "--kind", "disc", "--points", "4"))
+        data["arcs"][0]["boundary"] = False
+        code, out, err = run_cli(capsys, "surface", "flip", "--surface", json.dumps(data), "--arc", "2")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("input error: --surface: arcs disagree with the fans")
+
 
 class TestVerifyVerbs:
     def test_annulus_verify(self, capsys):
@@ -317,6 +325,12 @@ class TestVerifyVerbs:
         data = json.loads(out)
         assert data["ok"] is True
         assert all(c["ok"] for c in data["checks"])
+
+    def test_annulus_verify_has_no_bound_flag(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["annulus", "verify", "--range", "0", "--bound", "8"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --bound 8" in capsys.readouterr().err
 
     def test_verify_single_suite(self, capsys):
         code, out, _ = run_cli(capsys, "--json", "verify", "plucker")

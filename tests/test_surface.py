@@ -2,7 +2,7 @@
 
 import pytest
 
-from qskein import qseed
+from qskein import disc, qseed
 from qskein import surface as surf
 from qskein.surface import CutError, FlipError, TriangulatedSurface
 
@@ -54,21 +54,94 @@ class TestBuilders:
         ]
 
 
+def oracle_check(s):
+    """Check a surface's derived arcs and triangles against its fans,
+    independently of how the constructor derives them."""
+    at = {end: (p, k) for p, fan in enumerate(s.fans) for k, end in enumerate(fan)}
+
+    def is_side(end):
+        p, k = at[end]
+        return k in (0, len(s.fans[p]) - 1)
+
+    assert list(s.arcs) == [
+        surf.Arc(is_side((i, 0)) or is_side((i, 1)), (at[(i, 0)][0], at[(i, 1)][0]))
+        for i in range(len(at) // 2)
+    ]
+    darts = [dart for tri in s.triangles for dart in tri]
+    assert len(darts) == len(set(darts)), "a dart borders two triangles"
+    corners = []
+    for tri in s.triangles:
+        for (a, d), leave in zip(tri, tri[1:] + tri[:1]):
+            p, k = at[(a, 1 - d)]
+            assert at[leave] == (p, k + 1), f"{(a, d)} -> {leave} is not a corner"
+            corners.append((p, k))
+    assert sorted(corners) == [
+        (p, k) for p, fan in enumerate(s.fans) for k in range(len(fan) - 1)
+    ], "some adjacent fan pair is not a corner exactly once"
+
+
+ORACLE_FAMILIES = {
+    "disc": lambda: [surf.build_disc(n) for n in range(3, 11)],
+    "annulus": lambda: [surf.build_annulus(p, q) for p in (1, 2, 3) for q in (1, 2, 3)],
+    "union": lambda: [surf.disjoint_union(surf.build_disc(4), surf.build_annulus(1, 1))],
+    "chords": lambda: [
+        surf.from_chords(n, t) for n in range(3, 9) for t in disc.enumerate_triangulations(n)
+    ],
+}
+
+
 class TestValidation:
+    @pytest.mark.parametrize("family", sorted(ORACLE_FAMILIES))
+    def test_derived_data_matches_oracle(self, family):
+        for s in ORACLE_FAMILIES[family]():
+            oracle_check(s)
+            for j in range(s.n_arcs):
+                for op in (surf.flip, surf.cut):
+                    try:
+                        t = op(s, j)
+                    except (FlipError, CutError, NotImplementedError):
+                        continue
+                    oracle_check(t)
+
     def test_corrupted_triangle_rejected(self):
-        s = surf.build_disc(4)
-        triangles = list(s.triangles)
-        t = triangles[0]
-        triangles[0] = (t[1], t[0], t[2])
-        with pytest.raises(ValueError):
-            TriangulatedSurface(s.arcs, s.fans, tuple(triangles))
+        data = surf.build_disc(4).to_json()
+        t = data["triangles"][0]
+        data["triangles"][0] = [t[1], t[0], t[2]]
+        with pytest.raises(ValueError, match="triangles disagree"):
+            TriangulatedSurface.from_json(data)
+
+    def test_flipped_boundary_flag_rejected(self):
+        data = surf.build_disc(4).to_json()
+        data["arcs"][0]["boundary"] = False
+        with pytest.raises(ValueError, match="arcs disagree"):
+            TriangulatedSurface.from_json(data)
 
     def test_missing_end_rejected(self):
-        s = surf.build_disc(4)
-        fans = [list(f) for f in s.fans]
+        fans = [list(f) for f in surf.build_disc(4).fans]
         fans[0] = fans[0][:-1]
-        with pytest.raises(ValueError):
-            TriangulatedSurface(s.arcs, fans, s.triangles)
+        with pytest.raises(ValueError, match="ends 0 and 1 of arcs"):
+            TriangulatedSurface(fans)
+
+    def test_repeated_end_rejected(self):
+        fans = [list(f) for f in surf.build_disc(4).fans]
+        fans[1].insert(1, fans[0][0])
+        with pytest.raises(ValueError, match="appears twice"):
+            TriangulatedSurface(fans)
+
+    def test_one_end_fan_rejected(self):
+        with pytest.raises(ValueError, match="marked point 0 has fewer than two"):
+            TriangulatedSurface([[(0, 0)], [(0, 1)]])
+
+    def test_boundary_arc_with_both_ends_first_rejected(self):
+        # The triangle's fans with the ends at point 0 swapped: both ends
+        # of arc 0 sit first in their fans.
+        with pytest.raises(ValueError, match="boundary arc 0 does not run"):
+            TriangulatedSurface([[(0, 0), (2, 1)], [(0, 1), (1, 0)], [(1, 1), (2, 0)]])
+
+    def test_square_face_rejected(self):
+        square = [[(3, 1), (0, 0)], [(0, 1), (1, 0)], [(1, 1), (2, 0)], [(2, 1), (3, 0)]]
+        with pytest.raises(ValueError, match="is not a triangle"):
+            TriangulatedSurface(square)
 
 
 class TestFlip:
@@ -153,14 +226,10 @@ class TestCut:
 class TestIdentity:
     def test_equality_up_to_end_relabeling(self):
         s = surf.build_disc(4)
-        arcs = [surf.Arc(a.boundary, a.ends) for a in s.arcs]
         j = s.internal_arcs()[0]
-        arcs[j] = surf.Arc(arcs[j].boundary, (arcs[j].ends[1], arcs[j].ends[0]))
         fans = [[(a, 1 - e) if a == j else (a, e) for a, e in fan] for fan in s.fans]
-        triangles = tuple(
-            tuple((a, 1 - e) if a == j else (a, e) for a, e in tri) for tri in s.triangles
-        )
-        relabeled = TriangulatedSurface(arcs, fans, triangles)
+        relabeled = TriangulatedSurface(fans)
+        assert relabeled.arcs[j].ends == s.arcs[j].ends[::-1]
         assert relabeled == s
         assert hash(relabeled) == hash(s)
 
