@@ -8,7 +8,9 @@ acceptance suites.
 Inline JSON arguments may instead name a file by prefixing the path
 with ``@``.  Exit codes: 0 on success, 1 when a verification reports a
 failure, 2 on malformed or otherwise unusable input, 3 on an internal
-error (any other exception, reported on stderr with its type).  All
+error (any other exception, reported on stderr with its type), 141
+(128 + SIGPIPE) when stdout is closed before the output is written, as
+in ``qskein ... | head``; that case prints nothing on stderr.  All
 emitted JSON re-parses into equal values and lists terms in sorted
 order, so runs are diffable.
 """
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 
@@ -582,7 +585,13 @@ def main(argv=None) -> int:
     args.mode = getattr(args, "mode", "text")
     args.seed = getattr(args, "seed", 0)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader left; silence the flush at exit as well.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2

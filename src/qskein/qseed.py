@@ -11,7 +11,10 @@ closed formula E^T Lambda E, not from torus products, so it trusts
 Lambda: ``from_json`` checks it against the frame, and
 ``quasi_commutation_exponent`` remains the product-based oracle.
 ``upper_membership`` divides by the X'_i that ``mutate`` builds, so the
-exchange relation has one implementation.
+exchange relation has one implementation; a seed keeps them in a private
+memo, built for every exchangeable index on the first membership test
+and reused after that.  The memo is not part of the seed's identity:
+``==``, ``hash``, ``fingerprint`` and ``to_json`` ignore it.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ def _as_int_matrix(rows, cols=None) -> tuple[tuple[int, ...], ...]:
 class QuantumSeed:
     """Immutable quantum seed; mutation and freezing return new seeds."""
 
-    __slots__ = ("ambient", "lam", "b", "ex", "frame")
+    __slots__ = ("ambient", "lam", "b", "ex", "frame", "_xprime")
 
     def __init__(self, ambient: SkewForm, lam: SkewForm, b, ex, frame):
         n = ambient.rank
@@ -81,6 +84,7 @@ class QuantumSeed:
         self.b = b
         self.ex = ex
         self.frame = frame
+        self._xprime: dict[int, TorusElement] | None = None
 
     @classmethod
     def initial(cls, lam: SkewForm, b, ex) -> QuantumSeed:
@@ -265,7 +269,9 @@ def upper_membership(x: TorusElement, seed: QuantumSeed) -> bool:
 
     For each exchangeable i, collect x on index i; each layer with a
     negative exponent -m must be left-divisible by the m-th power of the
-    mutated variable X'_i, read from seed.mutate(i).
+    mutated variable X'_i, read from seed.mutate(i).  The X'_i of every
+    exchangeable index are built on the first call, so an incompatible
+    seed always raises, and kept on the seed for later calls.
     """
     if x.form != seed.ambient:
         raise ValueError("element does not live in the seed's ambient torus")
@@ -273,9 +279,10 @@ def upper_membership(x: TorusElement, seed: QuantumSeed) -> bool:
         raise ValueError("membership is tested against the initial seed")
     if x.is_zero():
         return True
+    if seed._xprime is None:
+        seed._xprime = {i: seed.mutate(i).frame[i] for i in seed.ex}
     n = seed.n
-    for i in seed.ex:
-        xprime = seed.mutate(i).frame[i]
+    for i, xprime in seed._xprime.items():
         for k, y in x.collect_on_index(i).items():
             if k >= 0:
                 continue

@@ -2,8 +2,117 @@
 
 import pytest
 
-from qskein.annulus import AnnulusModel
+from qskein.annulus import X0, X1, AnnulusModel, _render_elt
 from qskein.qcoeff import QCoeff
+from qskein.qseed import quasi_commutation_exponent, upper_membership
+from qskein.qtorus import TorusElement
+
+
+def oracle_identities(model, irange):
+    """The identity pass as first written: every product and rendering made anew."""
+    if irange + 3 > model.bound:
+        raise ValueError(
+            f"range {irange} needs cache bound {irange + 3}, have {model.bound}"
+        )
+    v = QCoeff.v
+    report: list[dict] = []
+
+    def check(name: str, lhs: TorusElement, rhs: TorusElement) -> None:
+        report.append(
+            {
+                "name": name,
+                "ok": lhs == rhs,
+                "lhs": _render_elt(lhs),
+                "rhs": _render_elt(rhs),
+            }
+        )
+
+    ell, a, b = model.ell, model.a, model.b
+    for i in range(-irange, irange + 1):
+        xi = model.x(i)
+        xi1 = model.x(i + 1)
+        xi2 = model.x(i + 2)
+        xi3 = model.x(i + 3)
+        xim = model.x(i - 1)
+        check(
+            f"ell*x_{i} = q*x_{i+1} + q^-1*x_{i-1}",
+            ell * xi,
+            xi1 * v(2) + xim * v(-2),
+        )
+        check(
+            f"x_{i}*x_{i+1} = q^-2*x_{i+1}*x_{i}",
+            xi * xi1,
+            xi1 * xi * v(-4),
+        )
+        check(
+            f"x_{i}*x_{i+2} = a*b + q^-2*x_{i+1}^2",
+            xi * xi2,
+            a * b + xi1 * xi1 * v(-4),
+        )
+        check(
+            f"x_{i}*x_{i+3} = q*ell*a*b + q^-2*x_{i+1}*x_{i+2}",
+            xi * xi3,
+            ell * a * b * v(2) + xi1 * xi2 * v(-4),
+        )
+        check(
+            f"(x_{i}*x_{i+1})*ell = q*x_{i}^2 + q^-1*a*b + q^-3*x_{i+1}^2",
+            (xi * xi1) * ell,
+            xi * xi * v(2) + a * b * v(-2) + xi1 * xi1 * v(-6),
+        )
+        check(
+            f"a*b*ell = q^-1*x_{i}*x_{i+3} - q^-3*x_{i+1}*x_{i+2}",
+            a * b * ell,
+            xi * xi3 * v(-2) - xi1 * xi2 * v(-6),
+        )
+        check(f"bar(x_{i}) = x_{i}", xi.bar(), xi)
+        deg_ok = False
+        try:
+            deg_ok = model.grading(xi) == (1, 1)
+        except ValueError:
+            pass
+        report.append(
+            {
+                "name": f"deg(x_{i}) = (1,1)",
+                "ok": deg_ok,
+                "lhs": str(model.grading(xi)) if deg_ok else "inhomogeneous",
+                "rhs": "(1, 1)",
+            }
+        )
+    check("a*ell = ell*a", a * ell, ell * a)
+    check("b*ell = ell*b", b * ell, ell * b)
+    check("a*x_0 = x_0*a", a * model.x(0), model.x(0) * a)
+    check("b*x_1 = x_1*b", b * model.x(1), model.x(1) * b)
+    check("bar(ell) = ell", ell.bar(), ell)
+    report.append(
+        {
+            "name": "deg(ell) = (0,0)",
+            "ok": model.grading(ell) == (0, 0),
+            "lhs": str(model.grading(ell)),
+            "rhs": "(0, 0)",
+        }
+    )
+    report.append(
+        {
+            "name": "ell passes upper membership",
+            "ok": upper_membership(ell, model.seed),
+            "lhs": "upper_membership(ell)",
+            "rhs": "True",
+        }
+    )
+    mut = model.seed.mutate(X0)
+    check("mutation at x_0 gives x_2", mut.frame[X0], model.x(2))
+    mut = model.seed.mutate(X1)
+    check("mutation at x_1 gives x_-1", mut.frame[X1], model.x(-1))
+    qc = quasi_commutation_exponent(model.x(0), model.x(1))
+    report.append(
+        {
+            "name": "x_0 x_1 = q^c x_1 x_0 with c = -2",
+            "ok": qc == -2,
+            "lhs": f"c = {qc}",
+            "rhs": "c = -2",
+        }
+    )
+    return report
 
 
 @pytest.fixture(scope="module")
@@ -109,7 +218,28 @@ class TestIdentities:
             assert set(r) == {"name", "ok", "lhs", "rhs"}
 
     def test_quasi_commutation_of_consecutive_variables(self, model):
-        from qskein.qseed import quasi_commutation_exponent
-
         for i in range(-2, 3):
             assert quasi_commutation_exponent(model.x(i), model.x(i + 1)) == -2
+
+
+class TestIdentityPassOracle:
+    """The shared-product pass gives the rows of the pass that shares nothing."""
+
+    @pytest.mark.parametrize("bound, irange", [(8, k) for k in range(6)] + [(11, 8)])
+    def test_rows_match_oracle(self, bound, irange):
+        rows = AnnulusModel(bound=bound).verify_identities(irange=irange)
+        assert rows == oracle_identities(AnnulusModel(bound=bound), irange)
+        assert all(r["ok"] for r in rows)
+
+    def test_failing_identity_renders_its_own_rhs(self):
+        broken = AnnulusModel(bound=6)
+        broken.x(6)
+        broken.x(-6)
+        broken._x[2] = broken.x(2).shift(2)
+        rows = broken.verify_identities(irange=2)
+        assert rows == oracle_identities(broken, 2)
+        row = next(r for r in rows if r["name"] == "x_0*x_2 = a*b + q^-2*x_1^2")
+        assert not row["ok"]
+        assert row["rhs"] != row["lhs"]
+        rhs = broken.a * broken.b + broken.x(1) * broken.x(1) * QCoeff.v(-4)
+        assert row["rhs"] == _render_elt(rhs)

@@ -392,3 +392,26 @@ class TestConsoleEntry:
         )
         assert proc.returncode == 0
         assert "PASS plucker" in proc.stdout
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--json", "annulus", "verify", "--range", "5"],
+            ["--json", "skein", "reduce", "--n", "16", "--word",
+             "[[1,9],[2,10],[3,11],[4,12],[5,13],[6,14],[7,15],[8,16]]"],
+        ],
+        ids=["annulus-verify", "skein-reduce"],
+    )
+    def test_closed_stdout_exits_141_without_an_error_line(self, argv):
+        # Both outputs exceed a pipe buffer, so writing must meet the closed end.
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "qskein", *argv],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        assert proc.stdout.read(10)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 141
+        assert err == b""

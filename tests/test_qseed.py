@@ -7,7 +7,8 @@ import pytest
 from qskein import disc, qseed
 from qskein import surface as surf
 from qskein.disc import DiscElement
-from qskein.qcoeff import QCoeff
+from qskein.annulus import AnnulusModel
+from qskein.qcoeff import DivisionFailure, QCoeff
 from qskein.qseed import CompatibilityError, QuantumSeed
 from qskein.qtorus import SkewForm, TorusElement
 
@@ -195,6 +196,74 @@ class TestMembership:
     def test_inverse_frozen_monomial_passes(self, pentagon):
         alpha = tuple(-1 if k == 0 else 0 for k in range(pentagon.n))
         assert qseed.upper_membership(TorusElement.monomial(pentagon.ambient, alpha), pentagon)
+
+
+def membership_uncached(x, seed):
+    """upper_membership as first written: X'_i rebuilt by mutate on every call."""
+    n = seed.n
+    for i in seed.ex:
+        xprime = seed.mutate(i).frame[i]
+        for k, y in x.collect_on_index(i).items():
+            if k >= 0:
+                continue
+            layer = TorusElement.monomial(
+                seed.ambient, tuple(k if l == i else 0 for l in range(n))
+            ) * y
+            try:
+                layer.exact_divide_left(xprime ** (-k))
+            except DivisionFailure:
+                return False
+    return True
+
+
+class TestMembershipMemo:
+    """Each seed builds its X'_i once, on the first membership test."""
+
+    def test_repeated_calls_mutate_once_per_index(self, monkeypatch):
+        seed = start_seed("annulus")
+        calls = []
+        mutate = QuantumSeed.mutate
+
+        def counting(self, i):
+            calls.append(i)
+            return mutate(self, i)
+
+        monkeypatch.setattr(QuantumSeed, "mutate", counting)
+        x = TorusElement.monomial(seed.ambient, (0, 0, -1, 0))
+        for _ in range(3):
+            assert not qseed.upper_membership(x, seed)
+            assert qseed.upper_membership(seed.frame[2], seed)
+        assert calls == list(seed.ex)
+
+    def test_verdicts_match_uncached_membership(self):
+        model = AnnulusModel(bound=8)
+        seed = model.seed
+        fresh = start_seed("annulus")
+        elements = [model.x(i) for i in range(-8, 9)] + [model.ell]
+        assert all(qseed.upper_membership(x, seed) for x in elements)
+        for k in range(seed.n):
+            alpha = tuple(-1 if j == k else 0 for j in range(seed.n))
+            elements.append(TorusElement.monomial(seed.ambient, alpha))
+        for x in elements:
+            expected = membership_uncached(x, fresh)
+            assert qseed.upper_membership(x, seed) == expected
+        assert [qseed.upper_membership(x, seed) for x in elements[-4:]] == [
+            True, True, False, False
+        ]
+
+    def test_incompatible_seed_raises_without_a_negative_layer(self):
+        seed = incompatible_seed()
+        for _ in range(2):
+            with pytest.raises(CompatibilityError):
+                qseed.upper_membership(seed.frame[1], seed)
+
+    def test_memo_is_not_part_of_the_seed(self):
+        filled, blank = start_seed("annulus"), start_seed("annulus")
+        before = (filled.fingerprint(), hash(filled), filled.to_json())
+        assert qseed.upper_membership(filled.frame[0], filled)
+        assert filled == blank
+        assert (filled.fingerprint(), hash(filled), filled.to_json()) == before
+        assert before == (blank.fingerprint(), hash(blank), blank.to_json())
 
 
 class TestEnumeration:
