@@ -16,6 +16,9 @@ endpoint of the under-chord immediately clockwise from it.  Noncrossing
 chords obey [x][y] = v^(L(x,y)) [x u y] where L is the orientation
 pairing of arc ends at shared marked points (v = q^(1/2)).
 
+An element is a ``qcoeff.LinearCombination`` of basis multisets
+x[a, b]^w*... on n marked points; this module adds the skein product.
+
 Rewriting runs on interned chords.  Crossing, L and smoothing depend
 only on the cyclic order of the endpoints involved, so they are
 invariant under any relabelling that keeps that order.  ``reduce_word``
@@ -33,11 +36,11 @@ import functools
 import json
 import random
 from operator import mul, sub
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from . import surface
-from ._kernels import coeff_add, coeff_mul, coeff_neg, coeff_shift
-from .qcoeff import QCoeff, parse as parse_coeff, render as render_coeff
+from ._kernels import coeff_add, coeff_mul, coeff_shift
+from .qcoeff import LinearCombination, QCoeff, parse as parse_coeff, raw_coeff
 from .qtorus import SkewForm, TorusElement
 
 Chord = tuple[int, int]
@@ -144,10 +147,12 @@ def multiset_key(n: int, chords: Iterable, weights=None) -> MultisetKey:
 # -- elements ------------------------------------------------------------
 
 
-class DiscElement:
+class DiscElement(LinearCombination):
     """A linear combination of basis multisets with QCoeff coefficients."""
 
-    __slots__ = ("n", "_terms")
+    __slots__ = ("n",)
+
+    _mismatch = "elements live on discs of different sizes"
 
     def __init__(self, n: int, terms=None):
         if n < 3:
@@ -162,9 +167,7 @@ class DiscElement:
                 if key in seen:
                     raise ValueError(f"duplicate multiset {key}")
                 seen.add(key)
-                raw = dict(c.items()) if isinstance(c, QCoeff) else {int(k): int(v) for k, v in c.items()}
-                raw = {k: v for k, v in raw.items() if v}
-                if raw:
+                if raw := raw_coeff(c):
                     self._terms[key] = raw
 
     @classmethod
@@ -177,10 +180,6 @@ class DiscElement:
         return out
 
     @classmethod
-    def zero(cls, n: int) -> DiscElement:
-        return cls(n)
-
-    @classmethod
     def one(cls, n: int) -> DiscElement:
         return cls._raw(n, {(): {0: 1}})
 
@@ -188,67 +187,14 @@ class DiscElement:
     def basis(cls, n: int, chords: Iterable, weights=None) -> DiscElement:
         return cls._raw(n, {multiset_key(n, chords, weights): {0: 1}})
 
-    # -- structure ----------------------------------------------------
+    def _space(self) -> int:
+        return self.n
 
-    def is_zero(self) -> bool:
-        return not self._terms
+    @staticmethod
+    def _key_text(key: MultisetKey) -> str:
+        return "*".join(f"x{list(ch)}" + (f"^{w}" if w != 1 else "") for ch, w in key) or "1"
 
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
-    def support(self) -> list[MultisetKey]:
-        return sorted(self._terms)
-
-    def coefficient(self, key: MultisetKey) -> QCoeff:
-        return QCoeff(self._terms.get(key, {}))
-
-    def terms(self) -> Iterator[tuple[MultisetKey, QCoeff]]:
-        for key in sorted(self._terms):
-            yield key, QCoeff(self._terms[key])
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, DiscElement)
-            and self.n == other.n
-            and self._terms == other._terms
-        )
-
-    def __hash__(self) -> int:
-        return hash(
-            (self.n, frozenset((k, frozenset(c.items())) for k, c in self._terms.items()))
-        )
-
-    # -- linear operations ----------------------------------------------
-
-    def __add__(self, other) -> DiscElement:
-        if not isinstance(other, DiscElement):
-            return NotImplemented
-        if self.n != other.n:
-            raise ValueError("elements live on discs of different sizes")
-        out = dict(self._terms)
-        for key, c in other._terms.items():
-            cur = out.get(key)
-            s = coeff_add(cur, c) if cur is not None else dict(c)
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-        return DiscElement._raw(self.n, out)
-
-    def __neg__(self) -> DiscElement:
-        return DiscElement._raw(self.n, {k: coeff_neg(c) for k, c in self._terms.items()})
-
-    def __sub__(self, other) -> DiscElement:
-        if not isinstance(other, DiscElement):
-            return NotImplemented
-        return self + (-other)
-
-    def scale(self, c) -> DiscElement:
-        raw = dict(c.items()) if isinstance(c, QCoeff) else {0: int(c)}
-        raw = {k: v for k, v in raw.items() if v}
-        if not raw:
-            return DiscElement.zero(self.n)
-        return DiscElement._raw(self.n, {k: coeff_mul(t, raw) for k, t in self._terms.items()})
+    # -- products -------------------------------------------------------
 
     def __mul__(self, other) -> DiscElement:
         if isinstance(other, (int, QCoeff)):
@@ -257,24 +203,7 @@ class DiscElement:
             return product(self, other)
         return NotImplemented
 
-    def __rmul__(self, other) -> DiscElement:
-        if isinstance(other, (int, QCoeff)):
-            return self.scale(other)
-        return NotImplemented
-
-    def bar(self) -> DiscElement:
-        """Bar involution: basis elements are fixed, v maps to v^-1."""
-        return DiscElement._raw(
-            self.n, {k: {-e: v for e, v in c.items()} for k, c in self._terms.items()}
-        )
-
-    def specialize_q1(self) -> dict[MultisetKey, int]:
-        out = {}
-        for key, c in self._terms.items():
-            s = sum(c.values())
-            if s:
-                out[key] = s
-        return out
+    # -- structure ------------------------------------------------------
 
     def in_q(self) -> DiscElement:
         """Top v-degree layer, as an integer combination of multisets."""
@@ -304,11 +233,11 @@ class DiscElement:
             "n": self.n,
             "terms": [
                 {
-                    "chords": [list(c) for c, _ in key],
+                    "chords": [list(ch) for ch, _ in key],
                     "weights": [w for _, w in key],
-                    "coeff": render_coeff(QCoeff(self._terms[key])),
+                    "coeff": str(c),
                 }
-                for key in sorted(self._terms)
+                for key, c in self.terms()
             ],
         }
 
@@ -325,18 +254,6 @@ class DiscElement:
                 raise ValueError(f"duplicate multiset {key}")
             terms[key] = parse_coeff(t["coeff"])
         return cls(n, terms)
-
-    def __repr__(self) -> str:
-        if not self._terms:
-            return "DiscElement(0)"
-        bits = []
-        for key in sorted(self._terms):
-            c = render_coeff(QCoeff(self._terms[key]))
-            mult = "*".join(
-                f"x{list(ch)}" + (f"^{w}" if w != 1 else "") for ch, w in key
-            ) or "1"
-            bits.append(f"({c})*{mult}")
-        return "DiscElement(" + " + ".join(bits) + ")"
 
 
 def multiset_degree(n: int, key: MultisetKey) -> tuple[int, ...]:

@@ -1,9 +1,13 @@
-"""The coefficient ring Z[q^(1/2), q^(-1/2)].
+"""The coefficient ring Z[q^(1/2), q^(-1/2)] and combinations over it.
 
 Elements are sparse Laurent polynomials in v = q^(1/2) with integer
 coefficients, stored as a dict mapping v-exponent to a nonzero int.  All
 arithmetic is exact.  The bar involution inverts v, and specializing q = 1
 sums the coefficients.
+
+``LinearCombination`` is the one core of the skein elements of ``disc``
+and the quantum torus elements of ``qtorus``: combinations of basis keys
+over this ring.
 """
 
 from __future__ import annotations
@@ -71,7 +75,11 @@ class QCoeff:
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
+        # A constant hashes like the int it equals (zero included).
+        t = self._terms
+        if t.keys() <= {0}:
+            return hash(t.get(0, 0))
+        return hash(frozenset(t.items()))
 
     def min_v(self) -> int:
         if not self._terms:
@@ -128,15 +136,7 @@ class QCoeff:
     def __pow__(self, n: int) -> QCoeff:
         if n < 0:
             raise ValueError("negative powers are not defined in Z[v, v^-1]")
-        result = QCoeff.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        return square_and_multiply(QCoeff.one(), self, n)
 
     def shift(self, k: int) -> QCoeff:
         """Multiply by v^k."""
@@ -164,6 +164,18 @@ class QCoeff:
         return f"QCoeff({render(self)!r})"
 
 
+def square_and_multiply(one, base, n: int):
+    """base**n for n >= 0, starting from one; squares only while bits remain."""
+    result = one
+    while n:
+        if n & 1:
+            result = result * base
+        n >>= 1
+        if n:
+            base = base * base
+    return result
+
+
 def _coerce(x) -> QCoeff:
     if isinstance(x, QCoeff):
         return x
@@ -174,6 +186,129 @@ def _coerce(x) -> QCoeff:
 
 #: The value of a null-homotopic loop: -(q^2 + q^-2).
 UNKNOT_SCALAR = QCoeff({4: -1, -4: -1})
+
+
+def raw_coeff(c) -> dict[int, int]:
+    """The raw v-exponent dict, zeros dropped, of a QCoeff, a dict or an int."""
+    if isinstance(c, QCoeff):
+        return dict(c._terms)
+    raw = {int(k): int(x) for k, x in c.items()} if hasattr(c, "items") else {0: int(c)}
+    return {k: x for k, x in raw.items() if x}
+
+
+class LinearCombination:
+    """A finite combination of basis keys with coefficients in Z[v, v^-1].
+
+    Terms are a dict from key to a nonzero raw v-exponent dict.  A
+    subclass supplies the space its keys live in (``_space()``, and the
+    ``_mismatch`` message for operands from different spaces),
+    ``_raw(space, terms)``, which wraps a term dict without copying or
+    checking it, and ``_key_text(key)``, how one basis key prints.
+
+    ``str(x)`` is the text form: ``(coefficient)*key`` per term in
+    ascending key order, joined by " + ", or "0".  ``repr(x)`` wraps it
+    in the class name.
+    """
+
+    __slots__ = ("_terms",)
+
+    @classmethod
+    def zero(cls, space):
+        return cls(space)
+
+    def _like(self, terms: dict):
+        return self._raw(self._space(), terms)
+
+    def _check(self, other) -> None:
+        if self._space() != other._space():
+            raise ValueError(self._mismatch)
+
+    # -- structure ----------------------------------------------------
+
+    def is_zero(self) -> bool:
+        return not self._terms
+
+    def __bool__(self) -> bool:
+        return bool(self._terms)
+
+    def support(self) -> list:
+        return sorted(self._terms)
+
+    def coefficient(self, key) -> QCoeff:
+        return QCoeff(self._terms.get(tuple(key), {}))
+
+    def terms(self):
+        for key in sorted(self._terms):
+            yield key, QCoeff(self._terms[key])
+
+    def __eq__(self, other) -> bool:
+        return (
+            type(other) is type(self)
+            and self._space() == other._space()
+            and self._terms == other._terms
+        )
+
+    def __hash__(self) -> int:
+        return hash(
+            (self._space(), frozenset((k, frozenset(c.items())) for k, c in self._terms.items()))
+        )
+
+    # -- linear operations --------------------------------------------
+
+    def __add__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        self._check(other)
+        out = dict(self._terms)
+        for key, c in other._terms.items():
+            cur = out.get(key)
+            s = coeff_add(cur, c) if cur is not None else dict(c)
+            if s:
+                out[key] = s
+            else:
+                out.pop(key, None)
+        return self._like(out)
+
+    def __neg__(self):
+        return self._like({k: coeff_neg(c) for k, c in self._terms.items()})
+
+    def __sub__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self + (-other)
+
+    def __rmul__(self, other):
+        if isinstance(other, (int, QCoeff)):
+            return self.scale(other)
+        return NotImplemented
+
+    def scale(self, c):
+        raw = raw_coeff(c)
+        if not raw:
+            return self._like({})
+        return self._like({k: coeff_mul(t, raw) for k, t in self._terms.items()})
+
+    def bar(self):
+        """Bar involution: basis elements are fixed, v maps to v^-1."""
+        return self._like({k: {-e: x for e, x in c.items()} for k, c in self._terms.items()})
+
+    def specialize_q1(self) -> dict:
+        """The value at q = 1, as key -> nonzero int."""
+        out = {}
+        for key, c in self._terms.items():
+            if s := sum(c.values()):
+                out[key] = s
+        return out
+
+    # -- text form ----------------------------------------------------
+
+    def __str__(self) -> str:
+        if not self._terms:
+            return "0"
+        return " + ".join(f"({c})*{self._key_text(k)}" for k, c in self.terms())
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self})"
 
 
 def exact_divide(a: QCoeff, b: QCoeff) -> QCoeff:

@@ -181,6 +181,18 @@ class QuantumSeed:
         newb = _mutate_columns(self.b, i, col)
         return QuantumSeed(self.ambient, SkewForm(newlam), newb, self.ex, frame)
 
+    def xprime(self, i: int) -> TorusElement:
+        """X'_i, the variable mutate(i) puts at index i.
+
+        The first call builds X'_j for every exchangeable j, so an
+        incompatible seed always raises, and keeps them on the seed.
+        """
+        if self._xprime is None:
+            self._xprime = {j: self.mutate(j).frame[j] for j in self.ex}
+        if i not in self._xprime:
+            raise ValueError(f"index {i} is not exchangeable")
+        return self._xprime[i]
+
     def freeze(self, drop) -> QuantumSeed:
         drop = set(drop)
         if not drop <= set(self.ex):
@@ -269,9 +281,8 @@ def upper_membership(x: TorusElement, seed: QuantumSeed) -> bool:
 
     For each exchangeable i, collect x on index i; each layer with a
     negative exponent -m must be left-divisible by the m-th power of the
-    mutated variable X'_i, read from seed.mutate(i).  The X'_i of every
-    exchangeable index are built on the first call, so an incompatible
-    seed always raises, and kept on the seed for later calls.
+    mutated variable X'_i, read from seed.xprime(i), which builds every
+    X'_i on first use and keeps them on the seed.
     """
     if x.form != seed.ambient:
         raise ValueError("element does not live in the seed's ambient torus")
@@ -279,10 +290,9 @@ def upper_membership(x: TorusElement, seed: QuantumSeed) -> bool:
         raise ValueError("membership is tested against the initial seed")
     if x.is_zero():
         return True
-    if seed._xprime is None:
-        seed._xprime = {i: seed.mutate(i).frame[i] for i in seed.ex}
     n = seed.n
-    for i, xprime in seed._xprime.items():
+    for i in seed.ex:
+        xprime = seed.xprime(i)
         for k, y in x.collect_on_index(i).items():
             if k >= 0:
                 continue
@@ -379,21 +389,8 @@ def enumerate_seeds(seed: QuantumSeed, max_seeds: int = 64, max_depth: int = 16)
 # -- exchange-type matrix utilities ---------------------------------------
 
 
-def _check_square_skew(a) -> tuple[tuple[int, ...], ...]:
-    a = _as_int_matrix(a)
-    n = len(a)
-    for row in a:
-        if len(row) != n:
-            raise ValueError("matrix must be square")
-    for i in range(n):
-        for j in range(n):
-            if a[i][j] != -a[j][i]:
-                raise ValueError(f"matrix is not skew-symmetric at ({i},{j})")
-    return a
-
-
 def matrix_mutate(a, i: int) -> list[list[int]]:
-    a = _check_square_skew(a)
+    a = SkewForm(a).matrix
     n = len(a)
     if not 0 <= i < n:
         raise ValueError(f"index {i} out of range")
@@ -422,19 +419,19 @@ def _mutate_columns(b, i: int, col: int) -> list[list[int]]:
 
 def sinks(a) -> list[int]:
     """Indices whose column is nonnegative (no incoming arrows)."""
-    a = _check_square_skew(a)
+    a = SkewForm(a).matrix
     return [i for i in range(len(a)) if all(row[i] >= 0 for row in a)]
 
 
 def sources(a) -> list[int]:
     """Indices whose column is nonpositive (no outgoing arrows)."""
-    a = _check_square_skew(a)
+    a = SkewForm(a).matrix
     return [i for i in range(len(a)) if all(row[i] <= 0 for row in a)]
 
 
 def is_acyclic(a) -> bool:
     """No index cycle i_1, ..., i_n = i_1 with A[i_(j+1)][i_j] > 0."""
-    a = _check_square_skew(a)
+    a = SkewForm(a).matrix
     n = len(a)
     color = [0] * n  # 0 unvisited, 1 on stack, 2 done
 
@@ -454,7 +451,7 @@ def is_acyclic(a) -> bool:
 
 def banff_step(a):
     """First (i, j) with A[i][j] != 0 and i a sink or source, else None."""
-    a = _check_square_skew(a)
+    a = SkewForm(a).matrix
     n = len(a)
     good = set(sinks(a)) | set(sources(a))
     for i in range(n):

@@ -4,17 +4,18 @@ A torus T_L over Z[v, v^-1] has basis monomials M^a indexed by a in Z^N,
 with M^a * M^b = v^(L(a,b)) M^(a+b) for a skew-symmetric integer form L.
 (In q-units the twist is q^(L(a,b)/2); v-exponents stay integral.)
 
-Elements store their form alongside a sparse term map; coefficients are
-raw v-exponent dicts internally and QCoeff at the API boundary.
+An element is a ``qcoeff.LinearCombination`` of monomials M[a] in its
+form's torus; this module adds the twisted product, collection on an
+index, left division and JSON.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Iterator
 
-from ._kernels import coeff_add, coeff_mul, coeff_neg, coeff_shift, torus_mul
-from .qcoeff import DivisionFailure, QCoeff, parse as parse_coeff, render as render_coeff
+from ._kernels import coeff_shift, torus_mul
+from .qcoeff import DivisionFailure, LinearCombination, QCoeff, raw_coeff, square_and_multiply
+from .qcoeff import parse as parse_coeff
 
 
 class SkewForm:
@@ -59,10 +60,12 @@ class SkewForm:
         return f"SkewForm({[list(r) for r in self.matrix]})"
 
 
-class TorusElement:
+class TorusElement(LinearCombination):
     """An element of the quantum torus attached to a SkewForm."""
 
-    __slots__ = ("form", "_terms")
+    __slots__ = ("form",)
+
+    _mismatch = "elements live in different tori"
 
     def __init__(self, form: SkewForm, terms=None):
         self.form = form
@@ -73,16 +76,10 @@ class TorusElement:
                 key = tuple(int(x) for x in alpha)
                 if len(key) != n:
                     raise ValueError(f"exponent {key} has wrong length for rank {n}")
-                raw = dict(c.items()) if isinstance(c, QCoeff) else {int(k): int(x) for k, x in c.items()}
-                raw = {k: x for k, x in raw.items() if x}
-                if raw:
+                if raw := raw_coeff(c):
                     self._terms[key] = raw
 
     # -- constructors ---------------------------------------------------
-
-    @classmethod
-    def zero(cls, form: SkewForm) -> TorusElement:
-        return cls(form)
 
     @classmethod
     def monomial(cls, form: SkewForm, alpha, coeff=1) -> TorusElement:
@@ -97,38 +94,17 @@ class TorusElement:
         out._terms = terms
         return out
 
+    def _space(self) -> SkewForm:
+        return self.form
+
+    @staticmethod
+    def _key_text(alpha) -> str:
+        return f"M{list(alpha)}"
+
     # -- structure ------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
-    def support(self) -> list[tuple[int, ...]]:
-        return sorted(self._terms)
-
-    def coefficient(self, alpha) -> QCoeff:
-        return QCoeff(self._terms.get(tuple(alpha), {}))
-
-    def terms(self) -> Iterator[tuple[tuple[int, ...], QCoeff]]:
-        for alpha in sorted(self._terms):
-            yield alpha, QCoeff(self._terms[alpha])
 
     def __len__(self) -> int:
         return len(self._terms)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, TorusElement)
-            and self.form == other.form
-            and self._terms == other._terms
-        )
-
-    def __hash__(self) -> int:
-        return hash(
-            (self.form, frozenset((a, frozenset(c.items())) for a, c in self._terms.items()))
-        )
 
     def fingerprint(self) -> tuple:
         """A hashable canonical form (terms only, without the form matrix)."""
@@ -137,32 +113,6 @@ class TorusElement:
         )
 
     # -- ring operations --------------------------------------------------
-
-    def _check(self, other: TorusElement):
-        if self.form != other.form:
-            raise ValueError("elements live in different tori")
-
-    def __add__(self, other) -> TorusElement:
-        if not isinstance(other, TorusElement):
-            return NotImplemented
-        self._check(other)
-        out = dict(self._terms)
-        for alpha, c in other._terms.items():
-            cur = out.get(alpha)
-            s = coeff_add(cur, c) if cur is not None else dict(c)
-            if s:
-                out[alpha] = s
-            else:
-                out.pop(alpha, None)
-        return TorusElement._raw(self.form, out)
-
-    def __neg__(self) -> TorusElement:
-        return TorusElement._raw(self.form, {a: coeff_neg(c) for a, c in self._terms.items()})
-
-    def __sub__(self, other) -> TorusElement:
-        if not isinstance(other, TorusElement):
-            return NotImplemented
-        return self + (-other)
 
     def __mul__(self, other) -> TorusElement:
         if isinstance(other, (int, QCoeff)):
@@ -173,32 +123,10 @@ class TorusElement:
         prod = torus_mul(self._terms, other._terms, self.form.matrix)
         return TorusElement._raw(self.form, prod)
 
-    def __rmul__(self, other) -> TorusElement:
-        if isinstance(other, (int, QCoeff)):
-            return self.scale(other)
-        return NotImplemented
-
     def __pow__(self, n: int) -> TorusElement:
         if n < 0:
             raise ValueError("use monomial inverses or exact division for negative powers")
-        result = TorusElement.monomial(self.form, (0,) * self.form.rank)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
-
-    def scale(self, c) -> TorusElement:
-        raw = dict(c.items()) if isinstance(c, QCoeff) else {0: int(c)}
-        raw = {k: x for k, x in raw.items() if x}
-        if not raw:
-            return TorusElement.zero(self.form)
-        return TorusElement._raw(
-            self.form, {a: coeff_mul(t, raw) for a, t in self._terms.items()}
-        )
+        return square_and_multiply(TorusElement.monomial(self.form, (0,) * self.form.rank), self, n)
 
     def shift(self, k: int) -> TorusElement:
         """Multiply every coefficient by v^k."""
@@ -206,13 +134,6 @@ class TorusElement:
             return self
         return TorusElement._raw(
             self.form, {a: coeff_shift(c, k) for a, c in self._terms.items()}
-        )
-
-    def bar(self) -> TorusElement:
-        """Bar involution: fixes basis monomials, inverts v."""
-        return TorusElement._raw(
-            self.form,
-            {a: {-k: x for k, x in c.items()} for a, c in self._terms.items()},
         )
 
     # -- collection and division -----------------------------------------
@@ -285,10 +206,7 @@ class TorusElement:
         return {
             "rank": self.form.rank,
             "lambda": [list(r) for r in self.form.matrix],
-            "terms": [
-                {"exp": list(alpha), "coeff": render_coeff(QCoeff(self._terms[alpha]))}
-                for alpha in sorted(self._terms)
-            ],
+            "terms": [{"exp": list(alpha), "coeff": str(c)} for alpha, c in self.terms()],
         }
 
     @classmethod
@@ -306,12 +224,3 @@ class TorusElement:
                 raise ValueError(f"duplicate exponent {alpha}")
             terms[alpha] = c
         return cls(form, terms)
-
-    def __repr__(self) -> str:
-        if not self._terms:
-            return "TorusElement(0)"
-        bits = []
-        for alpha in sorted(self._terms):
-            c = render_coeff(QCoeff(self._terms[alpha]))
-            bits.append(f"({c})*M{list(alpha)}")
-        return "TorusElement(" + " + ".join(bits) + ")"

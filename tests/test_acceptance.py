@@ -6,6 +6,8 @@ its runtime and budget.  Equality everywhere is bit-equality of
 canonical forms; the budgets come with the claims themselves.
 """
 
+import warnings
+
 import pytest
 
 from qskein import verify
@@ -29,3 +31,9 @@ def test_full_run_reports_every_criterion():
     results = verify.run(["all"], seed=1)
     assert [r["name"] for r in results] == CRITERIA
     assert all(verify.passed(r) for r in results)
+
+
+def test_warnings_inside_qskein_are_errors():
+    # pyproject.toml escalates warnings attributed to qskein modules only.
+    with pytest.raises(DeprecationWarning):
+        warnings.warn_explicit("stale", DeprecationWarning, "disc.py", 1, module="qskein.disc")

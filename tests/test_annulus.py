@@ -2,10 +2,41 @@
 
 import pytest
 
-from qskein.annulus import X0, X1, AnnulusModel, _render_elt
-from qskein.qcoeff import QCoeff
-from qskein.qseed import quasi_commutation_exponent, upper_membership
+from qskein.annulus import X0, X1, AnnulusModel
+from qskein.qcoeff import QCoeff, render
+from qskein.qseed import QuantumSeed, quasi_commutation_exponent, upper_membership
 from qskein.qtorus import TorusElement
+
+
+def render_elt(x: TorusElement) -> str:
+    """The identity pass's renderer as first written: the oracle of str(x)."""
+    if x.is_zero():
+        return "0"
+    bits = []
+    for alpha, c in x.terms():
+        bits.append(f"({render(c)})*M{list(alpha)}")
+    return " + ".join(bits)
+
+
+def torus_repr(x: TorusElement) -> str:
+    """TorusElement.__repr__ as first written: the oracle of repr(x)."""
+    if not x._terms:
+        return "TorusElement(0)"
+    bits = []
+    for alpha in sorted(x._terms):
+        c = render(QCoeff(x._terms[alpha]))
+        bits.append(f"({c})*M{list(alpha)}")
+    return "TorusElement(" + " + ".join(bits) + ")"
+
+
+def spec_torus(x: TorusElement) -> dict:
+    """The q = 1 specialiser of the commutative check as first written."""
+    out = {}
+    for alpha in x.support():
+        c = x.coefficient(alpha).specialize_q1()
+        if c:
+            out[alpha] = c
+    return out
 
 
 def oracle_identities(model, irange):
@@ -22,8 +53,8 @@ def oracle_identities(model, irange):
             {
                 "name": name,
                 "ok": lhs == rhs,
-                "lhs": _render_elt(lhs),
-                "rhs": _render_elt(rhs),
+                "lhs": render_elt(lhs),
+                "rhs": render_elt(rhs),
             }
         )
 
@@ -217,6 +248,18 @@ class TestIdentities:
         for r in results:
             assert set(r) == {"name", "ok", "lhs", "rhs"}
 
+    def test_mutation_rows_read_the_membership_memo(self, monkeypatch):
+        calls = []
+        mutate = QuantumSeed.mutate
+
+        def counting(seed, i):
+            calls.append(i)
+            return mutate(seed, i)
+
+        monkeypatch.setattr(QuantumSeed, "mutate", counting)
+        AnnulusModel(bound=6).verify_identities(irange=1)
+        assert calls == [X0, X1]
+
     def test_quasi_commutation_of_consecutive_variables(self, model):
         for i in range(-2, 3):
             assert quasi_commutation_exponent(model.x(i), model.x(i + 1)) == -2
@@ -242,4 +285,36 @@ class TestIdentityPassOracle:
         assert not row["ok"]
         assert row["rhs"] != row["lhs"]
         rhs = broken.a * broken.b + broken.x(1) * broken.x(1) * QCoeff.v(-4)
-        assert row["rhs"] == _render_elt(rhs)
+        assert row["rhs"] == render_elt(rhs)
+
+
+class TestSharedCore:
+    """The annulus elements print and specialise as the old per-module code did."""
+
+    @pytest.fixture(scope="class")
+    def elements(self):
+        model = AnnulusModel(bound=8)
+        return [model.x(i) for i in range(-8, 9)] + [
+            model.ell,
+            model.a * model.b,
+            model.ell.shift(3) - model.x(2),
+            TorusElement.zero(model.form),
+        ]
+
+    def test_str_and_repr_match_old_renderers(self, elements):
+        for x in elements:
+            assert str(x) == render_elt(x)
+            assert repr(x) == torus_repr(x)
+
+    def test_specialize_q1_matches_old_specialiser(self):
+        # The inputs of verify.check_q1's annulus part.
+        model = AnnulusModel(bound=4)
+        for i in range(-2, 3):
+            for x in [
+                model.x(i - 1) * model.x(i + 1),
+                model.x(i) * model.x(i) + model.a * model.b,
+                model.ell * model.x(i),
+                model.x(i - 1) + model.x(i + 1),
+                model.x(i) - model.x(i),
+            ]:
+                assert x.specialize_q1() == spec_torus(x)

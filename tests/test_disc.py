@@ -10,12 +10,49 @@ from qskein import disc
 from qskein import surface as surf
 from qskein._kernels import coeff_add, coeff_mul, coeff_shift
 from qskein.disc import DiscElement, InhomogeneousError, LocalizationError
-from qskein.qcoeff import QCoeff
+from qskein.qcoeff import QCoeff, render
 from qskein.qtorus import TorusElement
 
 
 def words(n, max_len=3):
     return st.lists(st.sampled_from(disc.all_chords(n)), min_size=1, max_size=max_len)
+
+
+def disc_repr(x: DiscElement) -> str:
+    """DiscElement.__repr__ as first written: the oracle of repr(x)."""
+    if not x._terms:
+        return "DiscElement(0)"
+    bits = []
+    for key in sorted(x._terms):
+        c = render(QCoeff(x._terms[key]))
+        mult = "*".join(
+            f"x{list(ch)}" + (f"^{w}" if w != 1 else "") for ch, w in key
+        ) or "1"
+        bits.append(f"({c})*{mult}")
+    return "DiscElement(" + " + ".join(bits) + ")"
+
+
+class TestTextForm:
+    """repr(x) wraps str(x), and both print as the old DiscElement.__repr__."""
+
+    def test_random_products_match_old_repr(self):
+        rng = random.Random(11)
+        chords = {n: disc.all_chords(n) for n in range(4, 8)}
+        for _ in range(60):
+            n = rng.randint(4, 7)
+            x, y = (
+                disc.reduce_word(n, [rng.choice(chords[n]) for _ in range(rng.randint(1, 3))])
+                for _ in range(2)
+            )
+            for el in (disc.product(x, y), (x - y).scale(QCoeff.v(rng.randint(-3, 3)))):
+                old = disc_repr(el)
+                assert repr(el) == old
+                assert str(el) == old[len("DiscElement(") : -1]
+
+    def test_unit_and_zero(self):
+        assert repr(DiscElement.one(4)) == disc_repr(DiscElement.one(4)) == "DiscElement((1)*1)"
+        assert repr(DiscElement.zero(4)) == disc_repr(DiscElement.zero(4)) == "DiscElement(0)"
+        assert str(DiscElement.zero(4)) == "0"
 
 
 class TestChords:

@@ -1,9 +1,10 @@
-"""Coefficient ring: integer Laurent polynomials in v = q^(1/2)."""
+"""Coefficient ring: integer Laurent polynomials in v = q^(1/2), and the shared element core."""
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from qskein.disc import DiscElement, all_chords
 from qskein.qcoeff import (
     UNKNOT_SCALAR,
     DivisionFailure,
@@ -12,6 +13,7 @@ from qskein.qcoeff import (
     parse,
     render,
 )
+from qskein.qtorus import SkewForm, TorusElement
 
 coeffs = st.builds(
     QCoeff,
@@ -22,6 +24,22 @@ coeffs = st.builds(
     ),
 )
 nonzero_coeffs = coeffs.filter(lambda c: not c.is_zero())
+
+
+FORM = SkewForm([[0, 1], [-1, 0]])
+DISC_KEYS = [()] + [((c, 1),) for c in all_chords(5)] + [(((1, 2), 1), ((1, 3), 2))]
+
+torus_elements = st.dictionaries(
+    st.tuples(st.integers(-2, 2), st.integers(-2, 2)), coeffs, max_size=4
+).map(lambda d: TorusElement(FORM, d))
+disc_elements = st.dictionaries(st.sampled_from(DISC_KEYS), coeffs, max_size=4).map(
+    lambda d: DiscElement(5, d)
+)
+#: Both kinds of LinearCombination, and pairs of one kind.
+elements = st.one_of(torus_elements, disc_elements)
+pairs = st.one_of(
+    st.tuples(torus_elements, torus_elements), st.tuples(disc_elements, disc_elements)
+)
 
 
 class TestConstruction:
@@ -150,3 +168,87 @@ class TestRendering:
     @given(coeffs)
     def test_parse_render_round_trip(self, a):
         assert parse(render(a)) == a
+
+
+class TestHash:
+    def test_constants_hash_like_their_ints(self):
+        for n in [-3, 0, 1, 5]:
+            assert QCoeff.from_int(n) == n
+            assert hash(QCoeff.from_int(n)) == hash(n)
+        assert hash(QCoeff.zero()) == hash(0)
+        assert 5 in {QCoeff.from_int(5)}
+        assert QCoeff.from_int(5) in {5}
+        assert 0 in {QCoeff.zero()}
+
+    @given(coeffs)
+    def test_equal_coefficients_hash_equal(self, x):
+        y = (x + QCoeff.one()) - QCoeff.one()
+        assert y == x
+        assert hash(y) == hash(x)
+
+
+class TestLinearCombination:
+    """The laws of the shared core, on torus and disc elements alike."""
+
+    @given(elements)
+    def test_additive_inverse_and_zero(self, x):
+        zero = x.scale(0)
+        assert zero.is_zero() and not zero
+        assert type(zero) is type(x)
+        assert x + (-x) == zero
+        assert x - x == zero
+        assert x + zero == x
+
+    @given(elements)
+    def test_bar_is_an_involution(self, x):
+        assert x.bar().bar() == x
+
+    @given(elements, coeffs)
+    def test_scalars(self, x, c):
+        assert c * x == x.scale(c) == x * c
+        assert 2 * x == x + x
+        assert x.scale(c).bar() == x.bar().scale(c.bar())
+
+    @given(pairs)
+    def test_equal_elements_hash_equal(self, xy):
+        x, y = xy
+        z = (x + y) - y
+        assert z == x
+        assert hash(z) == hash(x)
+
+    @given(pairs)
+    def test_specialize_q1_is_additive(self, xy):
+        x, y = xy
+        sx, sy = x.specialize_q1(), y.specialize_q1()
+        expected = {k: sx.get(k, 0) + sy.get(k, 0) for k in sx.keys() | sy.keys()}
+        assert (x + y).specialize_q1() == {k: v for k, v in expected.items() if v}
+
+    def test_cross_space_sums_keep_their_messages(self):
+        with pytest.raises(ValueError, match="^elements live in different tori$"):
+            TorusElement.zero(FORM) + TorusElement.zero(SkewForm([[0]]))
+        with pytest.raises(ValueError, match="^elements live in different tori$"):
+            TorusElement.zero(FORM) - TorusElement.zero(SkewForm([[0]]))
+        with pytest.raises(ValueError, match="^elements live on discs of different sizes$"):
+            DiscElement.zero(4) + DiscElement.zero(5)
+        with pytest.raises(ValueError, match="^elements live on discs of different sizes$"):
+            DiscElement.zero(4) - DiscElement.zero(5)
+
+    def test_disc_never_equals_torus(self):
+        # The same term dict {(): {0: 1}} on both sides.
+        disc_one = DiscElement.one(4)
+        torus_one = TorusElement.monomial(SkewForm([]), ())
+        assert disc_one._terms == torus_one._terms
+        assert disc_one != torus_one and torus_one != disc_one
+        assert DiscElement.zero(4) != TorusElement.zero(FORM)
+        with pytest.raises(TypeError):
+            disc_one + torus_one
+        with pytest.raises(TypeError):
+            torus_one - disc_one
+
+    def test_text_form(self):
+        x = TorusElement(FORM, {(1, 0): QCoeff.q(1), (0, -1): QCoeff.from_int(-2)})
+        assert str(x) == "(-2)*M[0, -1] + (q)*M[1, 0]"
+        assert repr(x) == f"TorusElement({x})"
+        y = DiscElement(5, {(((1, 2), 1), ((1, 3), 2)): QCoeff.v(1)})
+        assert str(y) == "(q^(1/2))*x[1, 2]*x[1, 3]^2"
+        assert repr(DiscElement.zero(5)) == "DiscElement(0)"

@@ -235,6 +235,13 @@ class TestMembershipMemo:
             assert qseed.upper_membership(seed.frame[2], seed)
         assert calls == list(seed.ex)
 
+    def test_xprime_is_the_mutated_variable(self):
+        seed = start_seed("annulus")
+        for i in seed.ex:
+            assert seed.xprime(i) == seed.mutate(i).frame[i]
+        with pytest.raises(ValueError, match="not exchangeable"):
+            seed.xprime(0)
+
     def test_verdicts_match_uncached_membership(self):
         model = AnnulusModel(bound=8)
         seed = model.seed
