@@ -28,6 +28,12 @@ the result keys are mapped back to the original labels.  The relations
 of the e-gon live in one table per e that is filled lazily, an entry at
 a time on first use, so no table is sized by n and none is built at
 import.
+
+The Laurent expansion into the quantum torus of a triangulation is an
+algebra map.  Each chord that is not an arc of the triangulation is
+expanded once, with one skein product that clears its denominator, and
+kept with the triangulation; a basis multiset maps to the Weyl-ordered
+torus product of its chords' images, the arcs being monomials.
 """
 
 from __future__ import annotations
@@ -35,7 +41,7 @@ from __future__ import annotations
 import functools
 import json
 import random
-from operator import mul, sub
+from operator import add, mul, sub
 from typing import Iterable
 
 from . import surface
@@ -514,18 +520,10 @@ def mu_delta(n: int, delta, x: DiscElement) -> tuple[int, ...]:
 
     Raises ValueError when delta does not triangulate the n-gon.
     """
-    arcs, _, _, diagonals = _triangulation(n, tuple(map(tuple, delta)))
-    return _crossings(len(arcs), diagonals, x)
-
-
-def _crossings(size: int, diagonals, x: DiscElement) -> tuple[int, ...]:
-    """mu_delta from the (position, chord) diagonals of a triangulation.
-
-    Boundary arcs cross nothing, so their entries stay 0.
-    """
-    best = [0] * size
+    arcs = _triangulation(n, tuple(map(tuple, delta)))[0]
+    best = [0] * len(arcs)
     for key in x._terms:
-        for i, c in diagonals:
+        for i, c in enumerate(arcs):
             s = 0
             for y, w in key:
                 if crosses(c, y):
@@ -668,48 +666,102 @@ def triangulation_form(n: int, delta) -> SkewForm:
 
 @functools.lru_cache(maxsize=256)
 def _triangulation(n: int, delta: tuple[tuple, ...]):
-    """Normalised arcs, chord -> arc index map, torus form and (position,
-    chord) diagonals of a triangulation, built once per delta."""
+    """Normalised arcs, chord -> arc index map, torus form and chord
+    images of a triangulation, built once per delta.  The images map each
+    chord that is not an arc to its TorusElement, computed on first use."""
     arcs = tuple(normalize_chord(n, c) for c in delta)
-    return (
-        arcs,
-        {c: i for i, c in enumerate(arcs)},
-        triangulation_form(n, arcs),
-        tuple((i, c) for i, c in enumerate(arcs) if not is_boundary_chord(n, c)),
-    )
+    index = {c: i for i, c in enumerate(arcs)}
+    form = triangulation_form(n, arcs)
+
+    def image(c: Chord) -> TorusElement:
+        """M^(-mu) reduce(M^mu c), with mu the arcs that c crosses.
+
+        M^(-mu) M^alpha is v^(Lambda(-mu, alpha)) M^(alpha - mu), applied
+        term by term.
+        """
+        m = [int(crosses(a, c)) for a in arcs]
+        denom_key = tuple(sorted((a, 1) for a, k in zip(arcs, m) if k))
+        numer = product(DiscElement._raw(n, {denom_key: {0: 1}}), DiscElement.basis(n, [c]))
+        # row[j] = Lambda(-mu, e_j), summed over the arcs mu crosses.
+        row = [0] * len(arcs)
+        for i, k in enumerate(m):
+            if k:
+                row = list(map(sub, row, form.matrix[i]))
+        terms = {}
+        for key, coef in numer._terms.items():
+            alpha = [0] * len(arcs)
+            for ch, w in key:
+                if ch not in index:
+                    raise ValueError(
+                        f"product is not supported on the triangulation: chord {ch} appears"
+                    )
+                alpha[index[ch]] = w
+            s = sum(map(mul, row, alpha))
+            terms[tuple(map(sub, alpha, m))] = coeff_shift(coef, s) if s else coef
+        return TorusElement._raw(form, terms)
+
+    return arcs, index, form, _Lazy(image)
 
 
 def expand_laurent(x: DiscElement, delta) -> TorusElement:
     """Image of x in the quantum torus of a triangulation.
 
-    Clears denominators with the monomial of mu_delta(x), reduces, and
-    divides back inside the torus: M^(-mu) M^alpha is
-    v^(Lambda(-mu, alpha)) M^(alpha - mu), applied term by term.
+    The embedding is an algebra map, so a basis multiset maps to the
+    Weyl-ordered product of the images of its chords.  An arc of delta
+    (boundary chords included, whose weights may be negative) is the
+    monomial M^(e_i); the arcs of a multiset together give M^alpha,
+    applied as an exponent add and a v-shift.  Every other chord is
+    expanded once per triangulation, M^(-mu) reduce(M^mu c) for the arcs
+    mu it crosses, and the images of a multiset's other chords are
+    multiplied in the torus in key order.  With L = lam_pair, the
+    multiset {a^wa} u {c^wc} of arcs a and other chords c maps to
+
+        v^(-sum wa wc L(a, c) - sum_(c < c') wc wc' L(c, c')) M^alpha T_c...,
+
+    T_c the images.  The unit (the empty multiset) maps to M^0.
     """
     n = x.n
-    arcs, index, form, diagonals = _triangulation(n, tuple(map(tuple, delta)))
-    if x.is_zero():
-        return TorusElement.zero(form)
-    m = _crossings(len(arcs), diagonals, x)
-    denom_key = tuple(sorted((c, k) for c, k in zip(arcs, m) if k))
-    numer = product(DiscElement._raw(n, {denom_key: {0: 1}}), x)
-    # row[j] = Lambda(-mu, e_j), summed over the arcs mu crosses.
-    row = [0] * len(arcs)
-    for i, k in enumerate(m):
-        if k:
-            row = [r - k * l for r, l in zip(row, form.matrix[i])]
-    terms = {}
-    for key, c in numer._terms.items():
+    arcs, index, form, images = _triangulation(n, tuple(map(tuple, delta)))
+    # lam_pair from the table of the n-gon itself: chord (a, b) is id a * m + b.
+    t = _table(n)
+    pairs, m, mm = t.pairs, t.m, t.mm
+    unit = {(0,) * len(arcs): {0: 1}}
+    out: dict[tuple, dict] = {}
+    for key, c in x._terms.items():
         alpha = [0] * len(arcs)
+        arc_ids: list[tuple[int, int]] = []
+        others: list[tuple[Chord, int, int]] = []
         for ch, w in key:
-            if ch not in index:
-                raise ValueError(
-                    f"product is not supported on the triangulation: chord {ch} appears"
-                )
-            alpha[index[ch]] = w
-        s = sum(map(mul, row, alpha))
-        terms[tuple(map(sub, alpha, m))] = coeff_shift(c, s) if s else c
-    return TorusElement._raw(form, terms)
+            i = index.get(ch)
+            if i is None:
+                others.append((ch, ch[0] * m + ch[1], w))
+            else:
+                alpha[i] = w
+                arc_ids.append((ch[0] * m + ch[1], w))
+        twist = 0
+        torus = None
+        for k, (ch, cid, w) in enumerate(others):
+            for aid, wa in arc_ids:
+                twist -= wa * w * pairs[aid * mm + cid]
+            for _, cid2, w2 in others[k + 1 :]:
+                twist -= w * w2 * pairs[cid * mm + cid2]
+            for _ in range(w):
+                torus = images[ch] if torus is None else torus * images[ch]
+        # row[j] = Lambda(alpha, e_j): M^alpha M^beta = v^(row . beta) M^(alpha + beta).
+        row = [0] * len(arcs)
+        for i, w in enumerate(alpha):
+            if w:
+                row = [r + w * l for r, l in zip(row, form.matrix[i])]
+        for beta, cb in (unit if torus is None else torus._terms).items():
+            piece = coeff_shift(coeff_mul(c, cb), twist + sum(map(mul, row, beta)))
+            gamma = tuple(map(add, alpha, beta))
+            cur = out.get(gamma)
+            total = coeff_add(cur, piece) if cur is not None else piece
+            if total:
+                out[gamma] = total
+            else:
+                out.pop(gamma, None)
+    return TorusElement._raw(form, out)
 
 
 def triangulation_seed(n: int, delta):

@@ -68,14 +68,20 @@ class TorusElement(LinearCombination):
     _mismatch = "elements live in different tori"
 
     def __init__(self, form: SkewForm, terms=None):
+        """terms maps exponents to coefficients, as a dict or as (exponent,
+        coefficient) pairs; two exponents equal as int tuples raise."""
         self.form = form
         self._terms = {}
         if terms:
             n = form.rank
-            for alpha, c in terms.items():
+            seen = set()
+            for alpha, c in terms.items() if hasattr(terms, "items") else terms:
                 key = tuple(int(x) for x in alpha)
                 if len(key) != n:
                     raise ValueError(f"exponent {key} has wrong length for rank {n}")
+                if key in seen:
+                    raise ValueError(f"duplicate exponent {key}")
+                seen.add(key)
                 if raw := raw_coeff(c):
                     self._terms[key] = raw
 
@@ -216,11 +222,4 @@ class TorusElement(LinearCombination):
         form = SkewForm(data["lambda"])
         if form.rank != int(data["rank"]):
             raise ValueError("rank does not match the form matrix")
-        terms = {}
-        for t in data["terms"]:
-            alpha = tuple(int(x) for x in t["exp"])
-            c = parse_coeff(t["coeff"])
-            if alpha in terms:
-                raise ValueError(f"duplicate exponent {alpha}")
-            terms[alpha] = c
-        return cls(form, terms)
+        return cls(form, [(t["exp"], parse_coeff(t["coeff"])) for t in data["terms"]])

@@ -161,7 +161,8 @@ def check_flip_mutation(rng: random.Random) -> tuple[bool, str]:
 
 
 def check_laurent_multiplicative(rng: random.Random) -> tuple[bool, str]:
-    """expand_laurent(xy) = expand_laurent(x) expand_laurent(y), 100 random pairs."""
+    """expand_laurent(xy) = expand_laurent(x) expand_laurent(y), 100 random
+    pairs per triangulation of discs n = 3..6, 2,200 in all."""
     count = 0
     for n in range(3, 7):
         for delta in disc.enumerate_triangulations(n):

@@ -1,5 +1,6 @@
 """Disc skein algebra: chords, rewriting, products, Laurent expansion."""
 
+import functools
 import random
 
 import pytest
@@ -449,6 +450,39 @@ def oracle_expand_laurent(x, delta):
     return TorusElement.monomial(form, tuple(-k for k in m)) * TorusElement._raw(form, terms)
 
 
+def cleared_expand_laurent(x, delta):
+    """expand_laurent as first written: the oracle of the chord-image path.
+
+    Clears denominators with the monomial of mu_delta(x), reduces with one
+    skein product, and divides back inside the torus: M^(-mu) M^alpha is
+    v^(Lambda(-mu, alpha)) M^(alpha - mu), applied term by term.
+    """
+    n = x.n
+    arcs = tuple(disc.normalize_chord(n, c) for c in delta)
+    form = disc.triangulation_form(n, arcs)
+    if x.is_zero():
+        return TorusElement.zero(form)
+    m = disc.mu_delta(n, arcs, x)
+    denom_key = tuple(sorted((c, k) for c, k in zip(arcs, m) if k))
+    numer = disc.product(DiscElement._raw(n, {denom_key: {0: 1}}), x)
+    row = [0] * len(arcs)
+    for i, k in enumerate(m):
+        if k:
+            row = [r - k * l for r, l in zip(row, form.matrix[i])]
+    terms = {}
+    for key, c in numer._terms.items():
+        alpha = [0] * len(arcs)
+        for ch, w in key:
+            if ch not in arcs:
+                raise ValueError(
+                    f"product is not supported on the triangulation: chord {ch} appears"
+                )
+            alpha[arcs.index(ch)] = w
+        s = sum(a * r for a, r in zip(alpha, row))
+        terms[tuple(a - k for a, k in zip(alpha, m))] = coeff_shift(c, s) if s else c
+    return TorusElement._raw(form, terms)
+
+
 def long_words(n, max_len=8):
     return st.lists(st.sampled_from(disc.all_chords(n)), min_size=0, max_size=max_len)
 
@@ -489,7 +523,9 @@ class TestAgainstOracles:
             for delta in disc.enumerate_triangulations(n):
                 for c in disc.all_chords(n):
                     x = DiscElement.basis(n, [c])
-                    assert disc.expand_laurent(x, delta) == oracle_expand_laurent(x, delta)
+                    got = disc.expand_laurent(x, delta)
+                    assert got == oracle_expand_laurent(x, delta)
+                    assert got == cleared_expand_laurent(x, delta)
                     count += 1
         assert count == 1157
 
@@ -515,3 +551,67 @@ class TestAgainstOracles:
         got = disc.product(x, y)
         assert got == oracle_product(x, y)
         assert len(got.support()) == 4
+
+
+@functools.lru_cache(maxsize=None)
+def triangulations(n):
+    return disc.enumerate_triangulations(n)
+
+
+class TestChordImageExpansion:
+    """expand_laurent through chord images against the cleared-denominator oracle."""
+
+    FAN5 = ((1, 2), (1, 3), (1, 4), (1, 5), (2, 3), (3, 4), (4, 5))
+
+    @given(
+        st.integers(3, 9).flatmap(
+            lambda n: st.tuples(localized(n), st.sampled_from(triangulations(n)))
+        )
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_cleared_expansion_on_localized_elements(self, case):
+        x, delta = case
+        assert disc.expand_laurent(x, delta) == cleared_expand_laurent(x, delta)
+
+    def test_unit_maps_to_the_zero_exponent(self):
+        for n in range(3, 7):
+            for delta in triangulations(n):
+                got = disc.expand_laurent(DiscElement.one(n), delta)
+                assert got == TorusElement.monomial(got.form, (0,) * len(delta))
+                assert got == cleared_expand_laurent(DiscElement.one(n), delta)
+
+    def test_boundary_only_element_is_a_monomial(self):
+        x = disc.localize(DiscElement.one(5), {(1, 2): -2, (3, 4): 1, (1, 5): 2})
+        x = x.scale(QCoeff.v(3)) + x
+        got = disc.expand_laurent(x, self.FAN5)
+        assert got.support() == [(-2, 0, 0, 2, 0, 1, 0)]
+        assert got == cleared_expand_laurent(x, self.FAN5)
+
+    def test_interior_chord_of_weight_two_and_three(self):
+        for w in (2, 3):
+            x = disc.localize(DiscElement.basis(5, [(2, 4), (2, 5)], [w, 1]), {(4, 5): -1})
+            assert disc.expand_laurent(x, self.FAN5) == cleared_expand_laurent(x, self.FAN5)
+            y = DiscElement.basis(5, [(2, 4)])
+            power = disc.expand_laurent(y, self.FAN5) ** w
+            assert disc.expand_laurent(DiscElement.basis(5, [(2, 4)], [w]), self.FAN5) == power
+
+    def test_zero_maps_to_zero(self):
+        got = disc.expand_laurent(DiscElement.zero(5), self.FAN5)
+        assert got.is_zero()
+        assert got.form == disc.triangulation_form(5, self.FAN5)
+
+    def test_warm_triangulation_makes_no_skein_product(self, monkeypatch):
+        delta = ((1, 2), (1, 6), (2, 3), (2, 4), (3, 4), (4, 5), (4, 6), (5, 6), (2, 6))
+        x = disc.reduce_word(6, [(1, 3), (3, 5), (1, 4), (2, 5)])
+        x = disc.localize(x, {(1, 2): -1, (5, 6): 2})
+        assert len(x.support()) > 1
+        assert any(len(key) > 2 for key in x.support())
+        first = disc.expand_laurent(x, delta)
+
+        def no_product(*args):
+            raise AssertionError("skein product on a warm triangulation")
+
+        monkeypatch.setattr(disc, "product", no_product)
+        assert disc.expand_laurent(x, delta) == first
+        monkeypatch.undo()
+        assert first == cleared_expand_laurent(x, delta)

@@ -42,6 +42,23 @@ class TestForm:
         assert FORM.row_pairing(2, (1, 1, 0)) == 2 - 3
 
 
+class TestConstructor:
+    def test_rejects_exponents_that_normalise_alike(self):
+        form = SkewForm([[0, 1], [-1, 0]])
+        with pytest.raises(ValueError, match=r"duplicate exponent \(1, 0\)"):
+            TorusElement(form, {("1", 0): 1, (1, 0): 2})
+        with pytest.raises(ValueError, match=r"duplicate exponent \(1, 0\)"):
+            TorusElement(form, [((1, 0), 1), ((1, 0), 2)])
+
+    def test_accepts_pairs_like_a_dict(self):
+        terms = {(1, 0, -1): 2, (0, 0, 0): QCoeff.v(3)}
+        assert TorusElement(FORM, list(terms.items())) == TorusElement(FORM, terms)
+
+    def test_wrong_length_rejected(self):
+        with pytest.raises(ValueError, match="wrong length"):
+            TorusElement(FORM, {(1, 0): 1})
+
+
 class TestProduct:
     def test_twisted_commutation(self):
         x, y = mono((1, 0, 0)), mono((0, 1, 0))
@@ -163,6 +180,15 @@ class TestJson:
         data = x.to_json()
         assert TorusElement.from_json(data) == x
         assert TorusElement.from_json(data).to_json() == data
+
+    def test_json_rejects_duplicate_exponents(self):
+        data = mono((1, 0, -1)).to_json()
+        data["terms"].append({"exp": [1, 0, -1], "coeff": "2"})
+        with pytest.raises(ValueError, match=r"duplicate exponent \(1, 0, -1\)"):
+            TorusElement.from_json(data)
+        data["terms"][1]["exp"] = ["1", 0, -1]
+        with pytest.raises(ValueError, match=r"duplicate exponent \(1, 0, -1\)"):
+            TorusElement.from_json(data)
 
     def test_schema_fields(self):
         data = mono((1, 0, -1), 2).to_json()
