@@ -6,18 +6,27 @@ dicts mapping exponent tuples to coefficient dicts.  Every exact identity
 in the package is computed through these five functions, and every one of
 them takes and returns these dicts.
 
-``torus_mul`` does its coefficient arithmetic on packed integers instead of
-dicts.  Let g be the gcd of the exponent gaps inside every coefficient of
-both operands (0 when every coefficient has one term; on the annulus g = 8).
-A coefficient with lowest exponent m is packed once as the pair
+``torus_mul`` has two paths, chosen from the operands' shape alone.
+
+When every coefficient of one operand has a single term (a monomial
+coefficient c * v^e: a frame variable, a, b, a quotient piece), each term
+pair is a shift and a scale, {k + e + Lambda(alpha, beta): c * x}, of the
+other operand's coefficient, and the pairs landing on one exponent are
+summed with ``coeff_add``.
+
+Otherwise both operands have a coefficient of two or more terms, so g,
+the gcd of the exponent gaps inside every coefficient of both operands,
+is positive (on the annulus g = 8), and the product runs on packed
+integers instead of dicts.  A coefficient with lowest exponent m is
+packed once as the pair
 
     (m, sum of c * 2^(k * (e - m) / g) over its terms c * v^e),
 
 so one Python int multiply is one coefficient product, and the twist
 v^Lambda(alpha, beta) only moves the base m.  Products landing on the same
-exponent gamma and the same base residue mod g (the base itself when g = 0)
-are summed in one accumulator, the lower-based one shifted left to align.
-Each accumulator is read back once, k bits a digit, with a signed borrow.
+exponent gamma and the same base residue mod g are summed in one
+accumulator, the lower-based one shifted left to align.  Each accumulator
+is read back once, k bits a digit, with a signed borrow.
 
 The digit width is k = (L1x * L1y).bit_length() + 1, with L1x and L1y the
 sums of |c| over all terms of each operand.  Every output coefficient is a
@@ -52,6 +61,13 @@ def coeff_mul(a: dict, b: dict) -> dict:
     if len(a) > len(b):
         a, b = b, a
     out: dict = {}
+    if len(a) == 1:
+        # A monomial shifts and scales: no sums, no cancellation.  A loop,
+        # not a comprehension, is cheaper for the 1-3-term b that dominate.
+        [(ka, ca)] = a.items()
+        for kb, cb in b.items():
+            out[ka + kb] = ca * cb
+        return out
     for ka, ca in a.items():
         for kb, cb in b.items():
             k = ka + kb
@@ -71,6 +87,9 @@ def coeff_shift(a: dict, k: int) -> dict:
 
 def torus_mul(xterms: dict, yterms: dict, lam: tuple) -> dict:
     """Multiply two torus elements: M^a * M^b = v^(lam(a,b)) * M^(a+b)."""
+    x_one = all(len(c) == 1 for c in xterms.values())
+    if x_one or all(len(c) == 1 for c in yterms.values()):
+        return _shift_scale_mul(xterms, yterms, lam, x_one)
     g = 0
     bound = 1
     for terms in (xterms, yterms):
@@ -81,11 +100,10 @@ def torus_mul(xterms: dict, yterms: dict, lam: tuple) -> dict:
             l1 += sum(map(abs, c.values()))
         bound *= l1
     k = bound.bit_length() + 1
-    step = g or 1
 
     def pack(c):
         m = min(c)
-        return m, sum(x << (e - m) // step * k for e, x in c.items())
+        return m, sum(x << (e - m) // g * k for e, x in c.items())
 
     xs = [(alpha, *pack(c)) for alpha, c in xterms.items()]
     acc: dict = {}
@@ -94,15 +112,15 @@ def torus_mul(xterms: dict, yterms: dict, lam: tuple) -> dict:
         lamb = [sum(map(mul, row, beta)) for row in lam]
         for alpha, ma, pa in xs:
             base = ma + mb + sum(map(mul, alpha, lamb))
-            key = (tuple(map(add, alpha, beta)), base % g if g else base)
+            key = (tuple(map(add, alpha, beta)), base % g)
             prod = pa * pb
             cur = acc.get(key)
             if cur is None:
                 acc[key] = (base, prod)
             elif base >= cur[0]:
-                acc[key] = (cur[0], cur[1] + (prod << (base - cur[0]) // step * k))
+                acc[key] = (cur[0], cur[1] + (prod << (base - cur[0]) // g * k))
             else:
-                acc[key] = (base, (cur[1] << (cur[0] - base) // step * k) + prod)
+                acc[key] = (base, (cur[1] << (cur[0] - base) // g * k) + prod)
     out: dict = {}
     half = 1 << (k - 1)
     mask = (1 << k) - 1
@@ -119,3 +137,21 @@ def torus_mul(xterms: dict, yterms: dict, lam: tuple) -> dict:
             v = (v - d) >> k
             e += g
     return out
+
+
+def _shift_scale_mul(xterms: dict, yterms: dict, lam: tuple, x_one: bool) -> dict:
+    """torus_mul when every coefficient of x (x_one) or else of y is one-term."""
+    out: dict = {}
+    for beta, cb in yterms.items():
+        lamb = [sum(map(mul, row, beta)) for row in lam]
+        for alpha, ca in xterms.items():
+            one, many = (ca, cb) if x_one else (cb, ca)
+            [(e, c)] = one.items()
+            e += sum(map(mul, alpha, lamb))
+            prod = {}
+            for k, x in many.items():
+                prod[k + e] = c * x
+            gamma = tuple(map(add, alpha, beta))
+            cur = out.get(gamma)
+            out[gamma] = prod if cur is None else coeff_add(cur, prod)
+    return {gamma: c for gamma, c in out.items() if c}

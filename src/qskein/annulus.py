@@ -20,11 +20,12 @@ Lambda B = 4 iota, and is independently confirmed by the mutation
 x_2 = mu_(x_0)(seed) and the flip of the underlying surface.
 
 ``verify_identities`` computes each product that several identities
-share once per pass (a*b, ell*a*b and a*b*ell) or once per i (x_i x_(i+1),
-x_i x_(i+3), x_(i+1) x_(i+2), and x_(i+1)^2, which the next i reuses as
-its x_i^2).  Every side keeps its operands and their order, so no side
-is taken from another identity's claim.  A side equal to the left one
-is not rendered again: equal elements render alike.
+share once per pass (a*b, ell*a*b and a*b*ell) or once per i (x_i x_(i+3),
+x_(i+1)^2, which the next i reuses as its x_i^2, and x_(i+1) x_(i+2),
+which the next i reuses as its x_i x_(i+1)).  Every side keeps its
+operands and their order, so no side is taken from another identity's
+claim.  A side equal to the left one is not rendered again: equal
+elements render alike.
 """
 
 from __future__ import annotations
@@ -122,6 +123,7 @@ class AnnulusModel:
         ell_ab = ell_a * b
         ab_ell = ab * ell
         xx = None  # x_i^2: the previous i's x_(i+1)^2
+        xi_xi1 = None  # x_i x_(i+1): the previous i's x_(i+1) x_(i+2)
         for i in range(-irange, irange + 1):
             xi = self.x(i)
             xi1 = self.x(i + 1)
@@ -130,7 +132,7 @@ class AnnulusModel:
             xim = self.x(i - 1)
             if xx is None:
                 xx = xi * xi
-            xi_xi1 = xi * xi1
+                xi_xi1 = xi * xi1
             xi_xi3 = xi * xi3
             xi1_xi1 = xi1 * xi1
             xi1_xi2 = xi1 * xi2
@@ -164,8 +166,8 @@ class AnnulusModel:
                 ab_ell,
                 xi_xi3 * v(-2) - xi1_xi2 * v(-6),
             )
-            xx = xi1_xi1
-            del xi_xi1, xi_xi3, xi1_xi1, xi1_xi2
+            xx, xi_xi1 = xi1_xi1, xi1_xi2
+            del xi_xi3, xi1_xi1, xi1_xi2
             check(f"bar(x_{i}) = x_{i}", xi.bar(), xi)
             deg_ok = False
             try:
@@ -180,7 +182,7 @@ class AnnulusModel:
                     "rhs": "(1, 1)",
                 }
             )
-        del ab, ell_ab, ab_ell, xx
+        del ab, ell_ab, ab_ell, xx, xi_xi1
         check("a*ell = ell*a", a * ell, ell_a)
         check("b*ell = ell*b", b * ell, ell * b)
         check("a*x_0 = x_0*a", a * self.x(0), self.x(0) * a)

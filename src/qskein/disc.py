@@ -46,7 +46,7 @@ from typing import Iterable
 
 from . import surface
 from ._kernels import coeff_add, coeff_mul, coeff_shift
-from .qcoeff import LinearCombination, QCoeff, parse as parse_coeff, raw_coeff
+from .qcoeff import LinearCombination, QCoeff, parse as parse_coeff, raw_coeff, render_raw
 from .qtorus import SkewForm, TorusElement
 
 Chord = tuple[int, int]
@@ -241,9 +241,9 @@ class DiscElement(LinearCombination):
                 {
                     "chords": [list(ch) for ch, _ in key],
                     "weights": [w for _, w in key],
-                    "coeff": str(c),
+                    "coeff": render_raw(c),
                 }
-                for key, c in self.terms()
+                for key, c in sorted(self._terms.items())
             ],
         }
 

@@ -305,7 +305,9 @@ class LinearCombination:
     def __str__(self) -> str:
         if not self._terms:
             return "0"
-        return " + ".join(f"({c})*{self._key_text(k)}" for k, c in self.terms())
+        return " + ".join(
+            f"({render_raw(c)})*{self._key_text(k)}" for k, c in sorted(self._terms.items())
+        )
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self})"
@@ -365,27 +367,49 @@ _TERM_RE = re.compile(
 )
 
 
-def render(x: QCoeff) -> str:
-    if x.is_zero():
+#: Per v-exponent k: the text of +v^k and -v^k after the first term, and
+#: the "*q^..." suffix of a larger magnitude.  Filled on first use, up to
+#: _QTEXT_MAX exponents; others are formatted on each use.
+_QTEXT: dict[int, tuple[str, str, str]] = {}
+_QTEXT_MAX = 1024
+
+
+def _qtext(k: int) -> tuple[str, str, str]:
+    if k == 0:
+        qpart = "1"
+    elif k % 2 == 0:
+        qpart = "q" if k == 2 else f"q^{k // 2}"
+    else:
+        qpart = f"q^({k}/2)"
+    t = (f"+ {qpart}", f"- {qpart}", f"*{qpart}" if k else "")
+    if len(_QTEXT) < _QTEXT_MAX:
+        _QTEXT[k] = t
+    return t
+
+
+def render_raw(terms: dict) -> str:
+    """The text form of a raw v-exponent dict with nonzero values."""
+    if not terms:
         return "0"
-    parts: list[str] = []
-    for k in sorted(x._terms, reverse=True):
-        c = x._terms[k]
-        mag = abs(c)
-        if k == 0:
-            body = str(mag)
+    parts = []
+    for k in sorted(terms, reverse=True):
+        c = terms[k]
+        t = _QTEXT.get(k) or _qtext(k)
+        if c == 1:
+            parts.append(t[0])
+        elif c == -1:
+            parts.append(t[1])
+        elif c > 0:
+            parts.append(f"+ {c}{t[2]}")
         else:
-            if k % 2 == 0:
-                half = k // 2
-                qpart = "q" if half == 1 else f"q^{half}"
-            else:
-                qpart = f"q^({k}/2)"
-            body = qpart if mag == 1 else f"{mag}*{qpart}"
-        if not parts:
-            parts.append(body if c > 0 else f"-{body}")
-        else:
-            parts.append(f"+ {body}" if c > 0 else f"- {body}")
-    return " ".join(parts)
+            parts.append(f"- {-c}{t[2]}")
+    text = " ".join(parts)
+    # The first term carries its sign without the separator's space.
+    return text[2:] if text[0] == "+" else "-" + text[2:]
+
+
+def render(x: QCoeff) -> str:
+    return render_raw(x._terms)
 
 
 def parse(text: str) -> QCoeff:

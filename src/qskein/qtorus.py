@@ -13,8 +13,15 @@ from __future__ import annotations
 
 import json
 
-from ._kernels import coeff_shift, torus_mul
-from .qcoeff import DivisionFailure, LinearCombination, QCoeff, raw_coeff, square_and_multiply
+from ._kernels import coeff_add, coeff_neg, coeff_shift, torus_mul
+from .qcoeff import (
+    DivisionFailure,
+    LinearCombination,
+    QCoeff,
+    raw_coeff,
+    render_raw,
+    square_and_multiply,
+)
 from .qcoeff import parse as parse_coeff
 
 
@@ -182,18 +189,26 @@ class TorusElement(LinearCombination):
                 raise DivisionFailure("exponent spans rule out a quotient")
         beta = max(divisor._terms)
         c_d = QCoeff(divisor._terms[beta])
-        rem = TorusElement._raw(self.form, dict(self._terms))
+        rem = dict(self._terms)
         out: dict[tuple, dict] = {}
-        while rem._terms:
-            xi = max(rem._terms)
+        while rem:
+            xi = max(rem)
             gamma = tuple(x - b for x, b in zip(xi, beta))
             if any(g < l or g > h for g, l, h in zip(gamma, lo, hi)):
                 raise DivisionFailure("no exact quotient (leading term out of range)")
             s = self.form.pairing(beta, gamma)
-            c_w = QCoeff(rem._terms[xi]).shift(-s).exact_divide(c_d)
-            out[gamma] = dict(c_w.items())
-            piece = TorusElement.monomial(self.form, gamma, c_w)
-            rem = rem - divisor * piece
+            c_w = QCoeff(rem[xi]).shift(-s).exact_divide(c_d)
+            out[gamma] = c_w._terms
+            # rem += divisor * M^gamma (-c_w), in place over the divisor's terms.
+            piece = divisor * TorusElement._raw(self.form, {gamma: coeff_neg(c_w._terms)})
+            for key, c in piece._terms.items():
+                cur = rem.get(key)
+                if cur is None:
+                    rem[key] = c
+                elif diff := coeff_add(cur, c):
+                    rem[key] = diff
+                else:
+                    del rem[key]
         return TorusElement._raw(self.form, out)
 
     def is_laurent_in_sublattice(self, allowed_negative) -> bool:
@@ -212,7 +227,10 @@ class TorusElement(LinearCombination):
         return {
             "rank": self.form.rank,
             "lambda": [list(r) for r in self.form.matrix],
-            "terms": [{"exp": list(alpha), "coeff": str(c)} for alpha, c in self.terms()],
+            "terms": [
+                {"exp": list(alpha), "coeff": render_raw(c)}
+                for alpha, c in sorted(self._terms.items())
+            ],
         }
 
     @classmethod

@@ -1,5 +1,8 @@
 """Annulus with one marked point per boundary circle: exact ground truth."""
 
+import hashlib
+import json
+
 import pytest
 
 from qskein.annulus import X0, X1, AnnulusModel
@@ -273,6 +276,14 @@ class TestIdentityPassOracle:
         rows = AnnulusModel(bound=bound).verify_identities(irange=irange)
         assert rows == oracle_identities(AnnulusModel(bound=bound), irange)
         assert all(r["ok"] for r in rows)
+
+    def test_report_digest_is_pinned(self):
+        # sha256 of the 146-row report at range 8, recorded before the pass
+        # shared x_(i+1) x_(i+2) with the next step and rendered from a table.
+        rows = AnnulusModel(bound=11).verify_identities(irange=8)
+        assert len(rows) == 146
+        digest = hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest()
+        assert digest == "53fe3827968c230e89429e531f114e257fffa9601bd051b29fbc5bb864e3bb7a"
 
     def test_failing_identity_renders_its_own_rhs(self):
         broken = AnnulusModel(bound=6)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import qskein.qcoeff
 from qskein.disc import DiscElement, all_chords
 from qskein.qcoeff import (
     UNKNOT_SCALAR,
@@ -157,6 +158,56 @@ class TestDivision:
         assert exact_divide(QCoeff.from_int(6), QCoeff.from_int(2)) == QCoeff.from_int(3)
 
 
+def render_oracle(x: QCoeff) -> str:
+    """``render`` as first written, term by term: the oracle of the table-driven one."""
+    if x.is_zero():
+        return "0"
+    parts: list[str] = []
+    for k in sorted(x._terms, reverse=True):
+        c = x._terms[k]
+        mag = abs(c)
+        if k == 0:
+            body = str(mag)
+        else:
+            if k % 2 == 0:
+                half = k // 2
+                qpart = "q" if half == 1 else f"q^{half}"
+            else:
+                qpart = f"q^({k}/2)"
+            body = qpart if mag == 1 else f"{mag}*{qpart}"
+        if not parts:
+            parts.append(body if c > 0 else f"-{body}")
+        else:
+            parts.append(f"+ {body}" if c > 0 else f"- {body}")
+    return " ".join(parts)
+
+
+#: Exponents 0, even and odd (some past the render table's bound); magnitudes
+#: 1, 2 and >= 2^70; both signs.
+render_exps = st.one_of(
+    st.just(0),
+    st.integers(-60, 60).map(lambda k: 2 * k),
+    st.integers(-60, 60).map(lambda k: 2 * k + 1),
+    st.integers(-(10**6), 10**6),
+)
+render_mags = st.one_of(st.sampled_from([1, 2]), st.integers(2**70, 2**72))
+render_coeffs = st.builds(
+    QCoeff,
+    st.dictionaries(
+        render_exps,
+        st.builds(lambda m, s: s * m, render_mags, st.sampled_from([1, -1])),
+        max_size=6,
+    ),
+)
+
+
+def element_oracle(x) -> str:
+    """``str`` of a torus or disc element, its coefficients through the oracle."""
+    if x.is_zero():
+        return "0"
+    return " + ".join(f"({render_oracle(c)})*{x._key_text(k)}" for k, c in x.terms())
+
+
 class TestRendering:
     def test_known_renders(self):
         assert render(QCoeff.zero()) == "0"
@@ -168,6 +219,32 @@ class TestRendering:
     @given(coeffs)
     def test_parse_render_round_trip(self, a):
         assert parse(render(a)) == a
+
+    @given(render_coeffs)
+    def test_render_matches_oracle(self, a):
+        assert render(a) == str(a) == render_oracle(a)
+
+    @given(
+        st.one_of(
+            st.dictionaries(
+                st.tuples(st.integers(-2, 2), st.integers(-2, 2)), render_coeffs, max_size=4
+            ).map(lambda d: TorusElement(FORM, d)),
+            st.dictionaries(st.sampled_from(DISC_KEYS), render_coeffs, max_size=4).map(
+                lambda d: DiscElement(5, d)
+            ),
+        )
+    )
+    def test_elements_render_like_the_oracle(self, x):
+        assert str(x) == element_oracle(x)
+        assert repr(x) == f"{type(x).__name__}({element_oracle(x)})"
+        assert [t["coeff"] for t in x.to_json()["terms"]] == [
+            render_oracle(c) for _, c in x.terms()
+        ]
+
+    def test_render_table_is_bounded(self):
+        for k in range(-3000, 3000):
+            render(QCoeff.v(k, -2))
+        assert len(qskein.qcoeff._QTEXT) <= qskein.qcoeff._QTEXT_MAX
 
 
 class TestHash:

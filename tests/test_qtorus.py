@@ -1,6 +1,7 @@
 """Quantum torus: twisted Laurent monomials over a skew form."""
 
 import copy
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -166,6 +167,82 @@ class TestDivision:
         assert (d * x).exact_divide_left(d) == x
 
 
+def divide_left_oracle(num: TorusElement, divisor: TorusElement) -> TorusElement:
+    """exact_divide_left as first written, rebuilding the remainder per quotient term."""
+    num._check(divisor)
+    if divisor.is_zero():
+        raise DivisionFailure("division by zero torus element")
+    if num.is_zero():
+        return TorusElement.zero(num.form)
+    n = num.form.rank
+    lo = [min(a[j] for a in num._terms) - min(a[j] for a in divisor._terms) for j in range(n)]
+    hi = [max(a[j] for a in num._terms) - max(a[j] for a in divisor._terms) for j in range(n)]
+    if any(l > h for l, h in zip(lo, hi)):
+        raise DivisionFailure("exponent spans rule out a quotient")
+    beta = max(divisor._terms)
+    c_d = QCoeff(divisor._terms[beta])
+    rem = TorusElement._raw(num.form, dict(num._terms))
+    out: dict = {}
+    while rem._terms:
+        xi = max(rem._terms)
+        gamma = tuple(x - b for x, b in zip(xi, beta))
+        if any(g < l or g > h for g, l, h in zip(gamma, lo, hi)):
+            raise DivisionFailure("no exact quotient (leading term out of range)")
+        s = num.form.pairing(beta, gamma)
+        c_w = QCoeff(rem._terms[xi]).shift(-s).exact_divide(c_d)
+        out[gamma] = dict(c_w.items())
+        piece = TorusElement.monomial(num.form, gamma, c_w)
+        rem = rem - divisor * piece
+    return TorusElement._raw(num.form, out)
+
+
+#: Elements whose coefficients are polynomials in v^2 with one to three terms.
+poly_elements = st.dictionaries(
+    exponents,
+    st.dictionaries(
+        st.integers(-2, 2).map(lambda k: 2 * k),
+        st.integers(-3, 3).filter(bool),
+        min_size=1,
+        max_size=3,
+    ),
+    max_size=3,
+).map(lambda d: TorusElement(FORM, d))
+
+
+class TestDivisionOracle:
+    """In-place remainder updates give the quotient the rebuilding loop gave."""
+
+    @given(poly_elements.filter(bool), poly_elements)
+    @settings(max_examples=80)
+    def test_exact_quotients_match(self, d, x):
+        num = d * x
+        before = copy.deepcopy(num._terms)
+        assert num.exact_divide_left(d) == divide_left_oracle(num, d) == x
+        assert num._terms == before
+
+    def test_quotient_through_a_cancelled_term(self):
+        # The cross terms of d * x cancel (Lambda(e_0, e_1) = 1), so the first
+        # quotient step puts a term M[1, 1, 0] into the remainder that the
+        # dividend lacks, and the second step removes it.
+        d = mono((1, 0, 0)) + mono((0, 1, 0))
+        x = mono((0, 1, 0)) - mono((1, 0, 0), 2)
+        num = d * x
+        assert set(num.support()) == {(0, 2, 0), (2, 0, 0)}
+        assert num.exact_divide_left(d) == divide_left_oracle(num, d) == x
+
+    @given(poly_elements.filter(bool), poly_elements, poly_elements)
+    @settings(max_examples=80)
+    def test_failures_match(self, d, x, r):
+        num = d * x + r
+        try:
+            expected = divide_left_oracle(num, d)
+        except DivisionFailure as err:
+            with pytest.raises(DivisionFailure, match=f"^{re.escape(str(err))}$"):
+                num.exact_divide_left(d)
+        else:
+            assert num.exact_divide_left(d) == expected
+
+
 class TestLattice:
     def test_is_laurent_in_sublattice(self):
         x = mono((1, -2, 0))
@@ -230,10 +307,36 @@ def dict_torus_mul(xterms: dict, yterms: dict, lam: tuple) -> dict:
     return {g: c for g, c in out.items() if c}
 
 
+def coeff_mul_loop(a: dict, b: dict) -> dict:
+    """coeff_mul's general double loop, which monomial operands now bypass."""
+    out: dict = {}
+    for ka, ca in a.items():
+        for kb, cb in b.items():
+            k = ka + kb
+            s = out.get(k, 0) + ca * cb
+            if s:
+                out[k] = s
+            else:
+                del out[k]
+    return out
+
+
 BIG = 2**70
 ints = st.one_of(
     st.integers(-3, 3), st.integers(BIG, 4 * BIG), st.integers(-4 * BIG, -BIG)
 ).filter(bool)
+
+
+class TestMonomialCoeffMul:
+    @given(
+        st.integers(-9, 9),
+        st.one_of(st.integers(-3, 3), st.integers(BIG, 4 * BIG)).filter(bool),
+        st.dictionaries(st.integers(-8, 8), ints, max_size=5),
+    )
+    def test_matches_general_loop(self, k, c, b):
+        a = {k: c}
+        assert coeff_mul(a, b) == coeff_mul(b, a) == coeff_mul_loop(a, b)
+        assert coeff_mul(a, b) is not b
 
 
 @st.composite
@@ -324,6 +427,34 @@ class TestPackedKernel:
         y = {(0, 1): {0: 1, 8: 2}, (1, 0): {0: 3}}
         got = self.assert_matches_oracle(x, y, lam)
         assert {e % 8 for e in got[(1, 1)]} == {1, 7}
+
+    @pytest.mark.parametrize("x_one, y_one", [(True, False), (False, True), (True, True)])
+    def test_one_term_sides(self, x_one, y_one):
+        lam = ((0, 1, -2), (-1, 0, 3), (2, -3, 0))
+        one = {(1, 0, 0): {3: 2}, (0, 1, -1): {-1: -5}, (1, 1, 1): {0: BIG}}
+        many = {(0, 1, 0): {0: 1, 8: -3, 16: BIG}, (1, 0, -1): {2: 4}, (0, 0, 0): {-5: 1, 3: 1}}
+        self.assert_matches_oracle(one if x_one else many, one if y_one else many, lam)
+
+    def test_one_term_side_cancels_to_zero(self):
+        # Two pairs land on gamma = (1, 1) with opposite coefficients; the
+        # one-term side's v-exponent on M[0, 1] offsets the twist v^(+-1).
+        lam = ((0, 1), (-1, 0))
+        y = {(0, 1): {0: 1, 8: 2}, (1, 0): {0: -1, 8: -2}, (1, 1): {4: 7}}
+        left = {(1, 0): {0: 1}, (0, 1): {2: 1}}
+        right = {(1, 0): {0: 1}, (0, 1): {-2: 1}}
+        for a, b in [(left, y), (y, right)]:
+            got = self.assert_matches_oracle(a, b, lam)
+            assert (1, 1) not in got
+            assert got
+
+    def test_one_term_side_rank_zero_and_empty(self):
+        many = {(): {0: 2, 8: 3}}
+        for a, b in [({(): {4: -1}}, many), (many, {(): {4: -1}}), ({}, many), (many, {})]:
+            self.assert_matches_oracle(a, b, ())
+        assert torus_mul({(): {4: -1}}, many, ()) == {(): {4: -2, 12: -3}}
+        assert torus_mul(many, {}, ()) == torus_mul({}, many, ()) == {}
+        lam = ((0, 1), (-1, 0))
+        assert torus_mul({(1, 0): {0: 1}}, {}, lam) == torus_mul({}, {(1, 0): {0: 1}}, lam) == {}
 
     @pytest.mark.parametrize("m", [1, 2**35 - 1, 2**35, 2**70, 2**70 + 1])
     @pytest.mark.parametrize("sign", [1, -1])
