@@ -12,7 +12,7 @@ When every coefficient of one operand has a single term (a monomial
 coefficient c * v^e: a frame variable, a, b, a quotient piece), each term
 pair is a shift and a scale, {k + e + Lambda(alpha, beta): c * x}, of the
 other operand's coefficient, and the pairs landing on one exponent are
-summed with ``coeff_add``.
+summed in place into that exponent's accumulator.
 
 Otherwise both operands have a coefficient of two or more terms, so g,
 the gcd of the exponent gaps inside every coefficient of both operands,
@@ -148,10 +148,18 @@ def _shift_scale_mul(xterms: dict, yterms: dict, lam: tuple, x_one: bool) -> dic
             one, many = (ca, cb) if x_one else (cb, ca)
             [(e, c)] = one.items()
             e += sum(map(mul, alpha, lamb))
-            prod = {}
-            for k, x in many.items():
-                prod[k + e] = c * x
             gamma = tuple(map(add, alpha, beta))
-            cur = out.get(gamma)
-            out[gamma] = prod if cur is None else coeff_add(cur, prod)
+            acc = out.get(gamma)
+            if acc is None:
+                acc = out[gamma] = {}
+                for k, x in many.items():
+                    acc[k + e] = c * x
+            else:
+                # The accumulator is this kernel's own dict: add in place.
+                for k, x in many.items():
+                    k += e
+                    if s := acc.get(k, 0) + c * x:
+                        acc[k] = s
+                    else:
+                        del acc[k]
     return {gamma: c for gamma, c in out.items() if c}

@@ -6,7 +6,10 @@ surfaces, ``annulus`` for the annulus model, and ``verify`` for the
 acceptance suites.
 
 Inline JSON arguments may instead name a file by prefixing the path
-with ``@``.  Exit codes: 0 on success, 1 when a verification reports a
+with ``@``.  ``_decode`` alone turns a JSON argument into a value, and
+its failures into ``input error: <option>: <reason>``, where the reason
+names the JSON path of a bad value, as in ``[0][0]: expected int, got
+1.7``.  Exit codes: 0 on success, 1 when a verification reports a
 failure, 2 on malformed or otherwise unusable input, 3 on an internal
 error (any other exception, reported on stderr with its type), 141
 (128 + SIGPIPE) when stdout is closed before the output is written, as
@@ -29,16 +32,13 @@ from . import surface as surf
 from . import verify
 from .annulus import AnnulusModel
 from .disc import DiscElement
+from .payload import PayloadError, int_list, int_matrix
 from .qseed import CompatibilityError, QuantumSeed
 from .qtorus import TorusElement
 
 
 class InputError(ValueError):
     """Unusable command-line input; reported on stderr with exit code 2."""
-
-
-# What a ``from_json`` decoder raises on a payload of the wrong shape.
-_PAYLOAD_ERRORS = (TypeError, ValueError, KeyError, IndexError, AttributeError)
 
 
 # ---------------------------------------------------------------------------
@@ -52,7 +52,9 @@ def _disc_n(args) -> int:
     return args.n
 
 
-def _load_json(label: str, text: str):
+def _decode(label: str, text: str, decode):
+    """decode(the JSON in text, or in the file named after "@"); an unreadable
+    file, malformed JSON or a ValueError from decode is an InputError."""
     if text.startswith("@"):
         path = text[1:]
         try:
@@ -61,48 +63,43 @@ def _load_json(label: str, text: str):
         except OSError as exc:
             raise InputError(f"{label}: cannot read {path}: {exc}") from exc
     try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
+        data = json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise InputError(f"{label}: malformed JSON: {exc}") from exc
+    try:
+        return decode(data)
+    except ValueError as exc:
+        raise InputError(f"{label}: {exc}") from exc
 
 
-def _as_word(n: int, label: str, data) -> list[tuple[int, int]]:
-    if not isinstance(data, list):
-        raise InputError(f"{label}: expected a list of chords")
-    word = []
-    for item in data:
-        if not (isinstance(item, list) and len(item) == 2):
-            raise InputError(f"{label}: chord {item!r} is not a pair")
-        try:
-            word.append(disc.normalize_chord(n, (item[0], item[1])))
-        except (TypeError, ValueError) as exc:
-            raise InputError(f"{label}: {exc}") from exc
-    return word
+def _as_word(n: int, data) -> list[tuple[int, int]]:
+    return [disc.normalize_chord(n, c) for c in int_matrix(data, "", cols=2)]
 
 
 def _load_skein(n: int, label: str, text: str) -> DiscElement:
     """Decode a skein element: either an element payload or a chord word."""
-    data = _load_json(label, text)
-    if isinstance(data, list):
-        return disc.reduce_word(n, _as_word(n, label, data))
-    if isinstance(data, dict):
-        try:
-            el = DiscElement.from_json(data)
-        except _PAYLOAD_ERRORS as exc:
-            raise InputError(f"{label}: {exc}") from exc
+
+    def decode(data):
+        if isinstance(data, list):
+            return _as_word(n, data)
+        if not isinstance(data, dict):
+            raise PayloadError("", "expected a chord list or an element object")
+        el = DiscElement.from_json(data)
         if el.n != n:
-            raise InputError(f"{label}: element lives on {el.n} marked points, not {n}")
+            raise PayloadError("", f"element lives on {el.n} marked points, not {n}")
         return el
-    raise InputError(f"{label}: expected a chord list or an element object")
+
+    x = _decode(label, text, decode)
+    return disc.reduce_word(n, x) if isinstance(x, list) else x
 
 
 def _load_delta(n: int, label: str, text: str) -> tuple:
-    delta = tuple(_as_word(n, label, _load_json(label, text)))
-    try:
+    def decode(data):
+        delta = tuple(_as_word(n, data))
         surf.from_chords(n, delta)
-    except ValueError as exc:
-        raise InputError(f"{label}: {exc}") from exc
-    return delta
+        return delta
+
+    return _decode(label, text, decode)
 
 
 def _load_seed(args) -> QuantumSeed:
@@ -120,11 +117,7 @@ def _load_seed(args) -> QuantumSeed:
             return _disc_preset(n)
         raise InputError(f"--preset: unknown preset {name!r}")
     if getattr(args, "state", None):
-        data = _load_json("--state", args.state)
-        try:
-            return QuantumSeed.from_json(data)
-        except _PAYLOAD_ERRORS as exc:
-            raise InputError(f"--state: {exc}") from exc
+        return _decode("--state", args.state, QuantumSeed.from_json)
     raise InputError("provide --preset or --state")
 
 
@@ -133,14 +126,6 @@ def _disc_preset(n: int) -> QuantumSeed:
         raise InputError("--preset: a disc needs at least 3 marked points")
     fan = tuple(sorted(disc.boundary_chords(n) + [(1, k) for k in range(3, n)]))
     return disc.triangulation_seed(n, fan)
-
-
-def _load_surface(label: str, text: str):
-    data = _load_json(label, text)
-    try:
-        return surf.TriangulatedSurface.from_json(data)
-    except _PAYLOAD_ERRORS as exc:
-        raise InputError(f"{label}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +171,7 @@ def _seed_text(seed: QuantumSeed) -> str:
 
 def cmd_skein_reduce(args) -> int:
     n = _disc_n(args)
-    word = _as_word(n, "--word", _load_json("--word", args.word))
+    word = _decode("--word", args.word, lambda data: _as_word(n, data))
     rng = None
     if args.randomize:
         rng = random.Random(args.seed)
@@ -200,8 +185,7 @@ def cmd_skein_product(args) -> int:
     if args.word is not None:
         if args.x is not None or args.y is not None:
             raise InputError("use either --word or --x/--y, not both")
-        word = _as_word(n, "--word", _load_json("--word", args.word))
-        el = disc.reduce_word(n, word)
+        el = disc.reduce_word(n, _decode("--word", args.word, lambda data: _as_word(n, data)))
     else:
         if args.x is None or args.y is None:
             raise InputError("provide --word, or both --x and --y")
@@ -272,12 +256,8 @@ def cmd_seed_check(args) -> int:
 def cmd_seed_freeze(args) -> int:
     seed = _load_seed(args)
     try:
-        drop = {int(t) for t in args.drop.split(",") if t.strip() != ""}
+        frozen = seed.freeze({int(t) for t in args.drop.split(",") if t.strip() != ""})
     except ValueError as exc:
-        raise InputError(f"--drop: {exc}") from exc
-    try:
-        frozen = seed.freeze(drop)
-    except (ValueError, KeyError) as exc:
         raise InputError(f"--drop: {exc}") from exc
     _emit(args, frozen.to_json(), text=_seed_text(frozen))
     return 0
@@ -309,18 +289,16 @@ def cmd_seed_member(args) -> int:
     seed = _load_seed(args)
     if not seed.is_initial():
         raise InputError("--state: membership is tested against the initial seed")
-    data = _load_json("--element", args.element)
-    if isinstance(data, list):
-        if len(data) != seed.n or not all(isinstance(v, int) for v in data):
-            raise InputError(f"--element: expected {seed.n} integer exponents")
-        el = TorusElement.monomial(seed.ambient, tuple(data))
-    else:
-        try:
-            el = TorusElement.from_json(data)
-        except _PAYLOAD_ERRORS as exc:
-            raise InputError(f"--element: {exc}") from exc
-        if el.form.matrix != seed.ambient.matrix:
-            raise InputError("--element: element and seed use different skew forms")
+
+    def decode(data):
+        if isinstance(data, list):
+            return TorusElement.monomial(seed.ambient, int_list(data, "", seed.n))
+        el = TorusElement.from_json(data)
+        if el.form != seed.ambient:
+            raise PayloadError("", "element and seed use different skew forms")
+        return el
+
+    el = _decode("--element", args.element, decode)
     try:
         member = qseed.upper_membership(el, seed)
     except CompatibilityError as exc:
@@ -350,7 +328,7 @@ def cmd_surface_build(args) -> int:
 
 
 def cmd_surface_flip(args) -> int:
-    s = _load_surface("--surface", args.surface)
+    s = _decode("--surface", args.surface, surf.TriangulatedSurface.from_json)
     try:
         flipped = surf.flip(s, args.arc)
     except surf.FlipError as exc:
@@ -360,7 +338,7 @@ def cmd_surface_flip(args) -> int:
 
 
 def cmd_surface_cut(args) -> int:
-    s = _load_surface("--surface", args.surface)
+    s = _decode("--surface", args.surface, surf.TriangulatedSurface.from_json)
     try:
         cut = surf.cut(s, args.arc)
     except (surf.CutError, NotImplementedError) as exc:
@@ -370,7 +348,7 @@ def cmd_surface_cut(args) -> int:
 
 
 def cmd_surface_matrices(args) -> int:
-    s = _load_surface("--surface", args.surface)
+    s = _decode("--surface", args.surface, surf.TriangulatedSurface.from_json)
     seed = surf.to_seed(s)
     payload = {
         "lambda": surf.lambda_matrix(s),

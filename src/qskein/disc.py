@@ -39,14 +39,13 @@ torus product of its chords' images, the arcs being monomials.
 from __future__ import annotations
 
 import functools
-import json
 import random
 from operator import add, mul, sub
 from typing import Iterable
 
-from . import surface
+from . import payload, surface
 from ._kernels import coeff_add, coeff_mul, coeff_shift
-from .qcoeff import LinearCombination, QCoeff, parse as parse_coeff, raw_coeff, render_raw
+from .qcoeff import LinearCombination, QCoeff, raw_coeff, render_raw
 from .qtorus import SkewForm, TorusElement
 
 Chord = tuple[int, int]
@@ -161,13 +160,15 @@ class DiscElement(LinearCombination):
     _mismatch = "elements live on discs of different sizes"
 
     def __init__(self, n: int, terms=None):
+        """terms maps multiset keys to coefficients, as a dict or as (key,
+        coefficient) pairs; two keys equal once normalised raise."""
         if n < 3:
             raise ValueError("a marked disc needs at least 3 boundary points")
         self.n = n
         self._terms: dict[MultisetKey, dict] = {}
         if terms:
             seen = set()
-            for key, c in terms.items():
+            for key, c in terms.items() if hasattr(terms, "items") else terms:
                 # Rewriting relies on keys being simple multisets.
                 key = multiset_key(n, [ch for ch, _ in key], [w for _, w in key])
                 if key in seen:
@@ -249,16 +250,16 @@ class DiscElement(LinearCombination):
 
     @classmethod
     def from_json(cls, data) -> DiscElement:
-        if isinstance(data, str):
-            data = json.loads(data)
-        n = int(data["n"])
-        terms = {}
-        for t in data["terms"]:
-            weights = t.get("weights")
-            key = multiset_key(n, t["chords"], weights)
-            if key in terms:
-                raise ValueError(f"duplicate multiset {key}")
-            terms[key] = parse_coeff(t["coeff"])
+        """Decode a parsed ``to_json`` object; ``weights`` defaults to all 1."""
+        n = payload.integer(*payload.field(data, "n"))
+        terms = []
+        for p, t in payload.entries(*payload.field(data, "terms")):
+            chords = payload.int_matrix(*payload.field(t, "chords", p), cols=2)
+            weights = [1] * len(chords)
+            if "weights" in t:
+                weights = payload.int_list(*payload.field(t, "weights", p), len(chords))
+            coeff = payload.coeff(*payload.field(t, "coeff", p))
+            terms.append((tuple(zip(chords, weights)), coeff))
         return cls(n, terms)
 
 

@@ -20,9 +20,9 @@ and reused after that.  The memo is not part of the seed's identity:
 from __future__ import annotations
 
 import itertools
-import json
 from collections import deque
 
+from . import payload
 from .qcoeff import DivisionFailure, QCoeff
 from .qtorus import SkewForm, TorusElement
 
@@ -231,16 +231,18 @@ class QuantumSeed:
 
     @classmethod
     def from_json(cls, data) -> QuantumSeed:
-        if isinstance(data, str):
-            data = json.loads(data)
-        lam = SkewForm(data["lambda"])
-        frame_map = data["frame"]
+        """Decode a parsed ``to_json`` object."""
+        lam = SkewForm(payload.int_matrix(*payload.field(data, "lambda")))
         n = lam.rank
-        if sorted(int(k) for k in frame_map) != list(range(n)):
-            raise ValueError("frame must assign every index exactly once")
-        frame = [TorusElement.from_json(frame_map[str(k)]) for k in range(n)]
-        ambient = frame[0].form
-        seed = cls(ambient, lam, data["B"], data["ex"], frame)
+        if not n:
+            raise payload.PayloadError("lambda", "a seed needs at least one variable")
+        fmap, fpath = payload.field(data, "frame")
+        frame = [TorusElement.from_json(*payload.field(fmap, str(k), fpath)) for k in range(n)]
+        if len(fmap) != n:
+            raise payload.PayloadError(fpath, f"expected exactly the fields 0..{n - 1}")
+        ex = payload.int_list(*payload.field(data, "ex"))
+        b = payload.int_matrix(*payload.field(data, "B"), n, len(ex))
+        seed = cls(frame[0].form, lam, b, ex, frame)
         # mutate trusts lambda, so outside input must agree with its frame.
         for i in range(n):
             for j in range(i + 1, n):

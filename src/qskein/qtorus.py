@@ -11,8 +11,7 @@ index, left division and JSON.
 
 from __future__ import annotations
 
-import json
-
+from . import payload
 from ._kernels import coeff_add, coeff_neg, coeff_shift, torus_mul
 from .qcoeff import (
     DivisionFailure,
@@ -22,7 +21,6 @@ from .qcoeff import (
     render_raw,
     square_and_multiply,
 )
-from .qcoeff import parse as parse_coeff
 
 
 class SkewForm:
@@ -234,10 +232,12 @@ class TorusElement(LinearCombination):
         }
 
     @classmethod
-    def from_json(cls, data) -> TorusElement:
-        if isinstance(data, str):
-            data = json.loads(data)
-        form = SkewForm(data["lambda"])
-        if form.rank != int(data["rank"]):
-            raise ValueError("rank does not match the form matrix")
-        return cls(form, [(t["exp"], parse_coeff(t["coeff"])) for t in data["terms"]])
+    def from_json(cls, data, path: str = "") -> TorusElement:
+        """Decode a parsed ``to_json`` object found at ``path``."""
+        rank = payload.integer(*payload.field(data, "rank", path))
+        lam = payload.int_matrix(*payload.field(data, "lambda", path), rank, rank)
+        terms = []
+        for p, t in payload.entries(*payload.field(data, "terms", path)):
+            exp = payload.int_list(*payload.field(t, "exp", p), rank)
+            terms.append((exp, payload.coeff(*payload.field(t, "coeff", p))))
+        return cls(SkewForm(lam), terms)

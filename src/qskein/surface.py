@@ -27,9 +27,9 @@ annuli, disjoint unions); the data model itself permits any genus.
 
 from __future__ import annotations
 
-import json
 from typing import NamedTuple
 
+from . import payload
 from .qtorus import SkewForm
 from .qseed import QuantumSeed
 
@@ -255,19 +255,19 @@ class TriangulatedSurface:
         Raises ValueError when the payload's ``arcs`` or ``triangles``
         (in any order and rotation) disagree with those of the fans.
         """
-        if isinstance(data, str):
-            data = json.loads(data)
-        s = cls([(e[0], e[1]) for e in p["ends"]] for p in data["marked_points"])
+        fans = payload.entries(*payload.field(data, "marked_points"))
+        s = cls(payload.int_matrix(*payload.field(p, "ends", path), cols=2) for path, p in fans)
         arcs = [
-            Arc(a["boundary"], (int(a["ends"][0]), int(a["ends"][1])))
-            for a in data["arcs"]
+            Arc(payload.boolean(*payload.field(a, "boundary", path)),
+                payload.int_list(*payload.field(a, "ends", path), 2))
+            for path, a in payload.entries(*payload.field(data, "arcs"))
         ]
         if arcs != list(s.arcs):
             raise ValueError("arcs disagree with the fans of the marked points")
         triangles = []
-        for tri in data["triangles"]:
-            t = tuple((int(a), int(d)) for a, d in tri)
-            triangles.append(min(t[k:] + t[:k] for k in range(len(t))))
+        for path, tri in payload.entries(*payload.field(data, "triangles")):
+            t = payload.int_matrix(tri, path, 3, 2)
+            triangles.append(min(t[k:] + t[:k] for k in range(3)))
         if sorted(triangles) != list(s.triangles):
             raise ValueError("triangles disagree with the fans of the marked points")
         return s
