@@ -3,8 +3,15 @@
 Coefficients are sparse Laurent polynomials in v = q^(1/2), stored as plain
 dicts mapping v-exponent (int) to a nonzero integer.  Torus elements are
 dicts mapping exponent tuples to coefficient dicts.  Every exact identity
-in the package is computed through these five functions, and every one of
-them takes and returns these dicts.
+in the package is computed through these functions, and every one of them
+takes and returns these dicts: ``coeff_add``, ``coeff_neg``, ``coeff_mul``
+and ``coeff_shift`` on coefficients, ``coeff_acc`` to sum a coefficient
+into a dict of them, and ``torus_mul``.
+
+A coefficient dict, once stored as a term of an element or handed to
+``coeff_acc``, is never mutated: every function here returns a new dict,
+and the in-place sums of ``_shift_scale_mul`` write only accumulators it
+created itself.  That is why a coefficient may be stored without a copy.
 
 ``torus_mul`` has two paths, chosen from the operands' shape alone.
 
@@ -51,6 +58,20 @@ def coeff_add(a: dict, b: dict) -> dict:
         else:
             out.pop(k, None)
     return out
+
+
+def coeff_acc(out: dict, key, c: dict) -> None:
+    """out[key] += c for a dict of coefficient dicts, dropping a zero sum.
+
+    A new key stores c itself, not a copy.
+    """
+    cur = out.get(key)
+    if cur is None:
+        out[key] = c
+    elif s := coeff_add(cur, c):
+        out[key] = s
+    else:
+        del out[key]
 
 
 def coeff_neg(a: dict) -> dict:

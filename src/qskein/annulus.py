@@ -111,11 +111,14 @@ class AnnulusModel:
         v = QCoeff.v
         report: list[dict] = []
 
+        def row(name: str, ok: bool, lhs: str, rhs: str) -> None:
+            report.append({"name": name, "ok": ok, "lhs": lhs, "rhs": rhs})
+
         def check(name: str, lhs: TorusElement, rhs: TorusElement) -> None:
             ok = lhs == rhs
             text = str(lhs)
             # Equal sides have equal term dicts, hence equal renderings.
-            report.append({"name": name, "ok": ok, "lhs": text, "rhs": text if ok else str(rhs)})
+            row(name, ok, text, text if ok else str(rhs))
 
         ell, a, b = self.ell, self.a, self.b
         ab = a * b
@@ -169,50 +172,27 @@ class AnnulusModel:
             xx, xi_xi1 = xi1_xi1, xi1_xi2
             del xi_xi3, xi1_xi1, xi1_xi2
             check(f"bar(x_{i}) = x_{i}", xi.bar(), xi)
-            deg_ok = False
             try:
-                deg_ok = self.grading(xi) == (1, 1)
+                deg = str(self.grading(xi))
             except ValueError:
-                pass
-            report.append(
-                {
-                    "name": f"deg(x_{i}) = (1,1)",
-                    "ok": deg_ok,
-                    "lhs": str(self.grading(xi)) if deg_ok else "inhomogeneous",
-                    "rhs": "(1, 1)",
-                }
-            )
+                deg = "inhomogeneous"
+            row(f"deg(x_{i}) = (1,1)", deg == "(1, 1)", deg, "(1, 1)")
         del ab, ell_ab, ab_ell, xx, xi_xi1
         check("a*ell = ell*a", a * ell, ell_a)
         check("b*ell = ell*b", b * ell, ell * b)
         check("a*x_0 = x_0*a", a * self.x(0), self.x(0) * a)
         check("b*x_1 = x_1*b", b * self.x(1), self.x(1) * b)
         check("bar(ell) = ell", ell.bar(), ell)
-        report.append(
-            {
-                "name": "deg(ell) = (0,0)",
-                "ok": self.grading(ell) == (0, 0),
-                "lhs": str(self.grading(ell)),
-                "rhs": "(0, 0)",
-            }
-        )
-        report.append(
-            {
-                "name": "ell passes upper membership",
-                "ok": upper_membership(ell, self.seed),
-                "lhs": "upper_membership(ell)",
-                "rhs": "True",
-            }
+        deg = str(self.grading(ell))
+        row("deg(ell) = (0,0)", deg == "(0, 0)", deg, "(0, 0)")
+        row(
+            "ell passes upper membership",
+            upper_membership(ell, self.seed),
+            "upper_membership(ell)",
+            "True",
         )
         check("mutation at x_0 gives x_2", self.seed.xprime(X0), self.x(2))
         check("mutation at x_1 gives x_-1", self.seed.xprime(X1), self.x(-1))
         qc = quasi_commutation_exponent(self.x(0), self.x(1))
-        report.append(
-            {
-                "name": "x_0 x_1 = q^c x_1 x_0 with c = -2",
-                "ok": qc == -2,
-                "lhs": f"c = {qc}",
-                "rhs": "c = -2",
-            }
-        )
+        row("x_0 x_1 = q^c x_1 x_0 with c = -2", qc == -2, f"c = {qc}", "c = -2")
         return report

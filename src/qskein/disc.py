@@ -44,8 +44,8 @@ from operator import add, mul, sub
 from typing import Iterable
 
 from . import payload, surface
-from ._kernels import coeff_add, coeff_mul, coeff_shift
-from .qcoeff import LinearCombination, QCoeff, raw_coeff, render_raw
+from ._kernels import coeff_acc, coeff_mul, coeff_shift
+from .qcoeff import LinearCombination, QCoeff, render_raw
 from .qtorus import SkewForm, TorusElement
 
 Chord = tuple[int, int]
@@ -155,36 +155,29 @@ def multiset_key(n: int, chords: Iterable, weights=None) -> MultisetKey:
 class DiscElement(LinearCombination):
     """A linear combination of basis multisets with QCoeff coefficients."""
 
-    __slots__ = ("n",)
+    __slots__ = ()
 
+    _key_name = "multiset"
     _mismatch = "elements live on discs of different sizes"
 
-    def __init__(self, n: int, terms=None):
-        """terms maps multiset keys to coefficients, as a dict or as (key,
-        coefficient) pairs; two keys equal once normalised raise."""
-        if n < 3:
-            raise ValueError("a marked disc needs at least 3 boundary points")
-        self.n = n
-        self._terms: dict[MultisetKey, dict] = {}
-        if terms:
-            seen = set()
-            for key, c in terms.items() if hasattr(terms, "items") else terms:
-                # Rewriting relies on keys being simple multisets.
-                key = multiset_key(n, [ch for ch, _ in key], [w for _, w in key])
-                if key in seen:
-                    raise ValueError(f"duplicate multiset {key}")
-                seen.add(key)
-                if raw := raw_coeff(c):
-                    self._terms[key] = raw
+    @property
+    def n(self) -> int:
+        return self.space
+
+    @staticmethod
+    def _key(n: int, key) -> MultisetKey:
+        # Rewriting relies on keys being simple multisets.
+        return multiset_key(n, [ch for ch, _ in key], [w for _, w in key])
+
+    @staticmethod
+    def _key_text(key: MultisetKey) -> str:
+        return "*".join(f"x{list(ch)}" + (f"^{w}" if w != 1 else "") for ch, w in key) or "1"
 
     @classmethod
     def _raw(cls, n: int, terms: dict) -> DiscElement:
         if n < 3:
             raise ValueError("a marked disc needs at least 3 boundary points")
-        out = cls.__new__(cls)
-        out.n = n
-        out._terms = terms
-        return out
+        return super()._raw(n, terms)
 
     @classmethod
     def one(cls, n: int) -> DiscElement:
@@ -193,13 +186,6 @@ class DiscElement(LinearCombination):
     @classmethod
     def basis(cls, n: int, chords: Iterable, weights=None) -> DiscElement:
         return cls._raw(n, {multiset_key(n, chords, weights): {0: 1}})
-
-    def _space(self) -> int:
-        return self.n
-
-    @staticmethod
-    def _key_text(key: MultisetKey) -> str:
-        return "*".join(f"x{list(ch)}" + (f"^{w}" if w != 1 else "") for ch, w in key) or "1"
 
     # -- products -------------------------------------------------------
 
@@ -217,12 +203,7 @@ class DiscElement(LinearCombination):
         if not self._terms:
             return self
         top = max(max(c) for c in self._terms.values())
-        out = {}
-        for key, c in self._terms.items():
-            v = c.get(top, 0)
-            if v:
-                out[key] = {0: v}
-        return DiscElement._raw(self.n, out)
+        return self._like({key: {0: c[top]} for key, c in self._terms.items() if top in c})
 
     def grading(self) -> tuple[int, ...]:
         """Endpoint degree in Z^n, or raise InhomogeneousError."""
@@ -388,13 +369,7 @@ def _reduce(t: _Table, word: tuple[int, ...], rng: random.Random | None = None) 
             for x in w:
                 counts[x] = counts.get(x, 0) + 1
             key = tuple(sorted(counts.items()))
-            shifted = coeff_shift(coef, twist)
-            cur = out.get(key)
-            s = coeff_add(cur, shifted) if cur is not None else shifted
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
+            coeff_acc(out, key, coeff_shift(coef, twist))
             continue
         # Commute w[j] left to sit just after w[i]; each swap with a
         # noncrossing entry costs v^(2 L).
@@ -425,8 +400,7 @@ def reduce_word(n: int, word, rng: random.Random | None = None) -> DiscElement:
 
 def product(x: DiscElement, y: DiscElement) -> DiscElement:
     """Skein product, x drawn over y."""
-    if x.n != y.n:
-        raise ValueError("elements live on discs of different sizes")
+    x._check(y)
     n = x.n
     t, index, back = _relabel(
         p for el in (x, y) for key in el._terms for c, _ in key for p in c
@@ -486,13 +460,7 @@ def product(x: DiscElement, y: DiscElement) -> DiscElement:
                 for c, w in rkey:
                     merged[c] = merged.get(c, 0) + w
                 key = tuple(sorted((c, w) for c, w in merged.items() if w))
-                piece = coeff_shift(coeff_mul(cxy, rcoef), s2)
-                cur = out.get(key)
-                s = coeff_add(cur, piece) if cur is not None else piece
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
+                coeff_acc(out, key, coeff_shift(coeff_mul(cxy, rcoef), s2))
     return DiscElement._raw(n, {_unintern(k, m, back): c for k, c in out.items()})
 
 
@@ -632,14 +600,11 @@ def enumerate_triangulations(n: int) -> list[tuple[Chord, ...]]:
         return out
 
     base = boundary_chords(n)
-    seen = set()
-    result = []
-    for diags in diagonal_sets(tuple(range(1, n + 1))):
-        if diags in seen:
-            continue
-        seen.add(diags)
-        result.append(tuple(sorted(base + sorted(diags))))
-    return sorted(result)
+    # Each triangulation has exactly one triangle on the edge (1, n), so
+    # the apex split lists every one of them exactly once.
+    return sorted(
+        tuple(sorted(base + sorted(diags))) for diags in diagonal_sets(tuple(range(1, n + 1)))
+    )
 
 
 def flip_diagonal(n: int, delta, d) -> tuple[tuple[Chord, ...], Chord]:
@@ -755,13 +720,7 @@ def expand_laurent(x: DiscElement, delta) -> TorusElement:
                 row = [r + w * l for r, l in zip(row, form.matrix[i])]
         for beta, cb in (unit if torus is None else torus._terms).items():
             piece = coeff_shift(coeff_mul(c, cb), twist + sum(map(mul, row, beta)))
-            gamma = tuple(map(add, alpha, beta))
-            cur = out.get(gamma)
-            total = coeff_add(cur, piece) if cur is not None else piece
-            if total:
-                out[gamma] = total
-            else:
-                out.pop(gamma, None)
+            coeff_acc(out, tuple(map(add, alpha, beta)), piece)
     return TorusElement._raw(form, out)
 
 

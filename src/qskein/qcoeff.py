@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import re
 
-from ._kernels import coeff_add, coeff_mul, coeff_neg, coeff_shift
+from ._kernels import coeff_acc, coeff_add, coeff_mul, coeff_neg, coeff_shift
 
 
 class DivisionFailure(ArithmeticError):
@@ -199,28 +199,55 @@ def raw_coeff(c) -> dict[int, int]:
 class LinearCombination:
     """A finite combination of basis keys with coefficients in Z[v, v^-1].
 
-    Terms are a dict from key to a nonzero raw v-exponent dict.  A
-    subclass supplies the space its keys live in (``_space()``, and the
-    ``_mismatch`` message for operands from different spaces),
-    ``_raw(space, terms)``, which wraps a term dict without copying or
-    checking it, and ``_key_text(key)``, how one basis key prints.
+    ``space`` is what the keys live in (a disc size, a torus form) and
+    ``_terms`` a dict from key to a nonzero raw v-exponent dict.  A
+    subclass supplies ``_key(space, key)``, which normalises and checks
+    one key, ``_key_name`` and ``_mismatch`` for its error messages, and
+    ``_key_text(key)``, how one basis key prints.
 
     ``str(x)`` is the text form: ``(coefficient)*key`` per term in
     ascending key order, joined by " + ", or "0".  ``repr(x)`` wraps it
     in the class name.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("space", "_terms")
+
+    def __new__(cls, space, terms=None):
+        """terms maps keys to coefficients, as a dict or as (key,
+        coefficient) pairs; two keys equal once normalised raise."""
+        out = cls._raw(space, {})
+        if terms:
+            seen = set()
+            for key, c in terms.items() if hasattr(terms, "items") else terms:
+                key = cls._key(space, key)
+                if key in seen:
+                    raise ValueError(f"duplicate {cls._key_name} {key}")
+                seen.add(key)
+                if raw := raw_coeff(c):
+                    out._terms[key] = raw
+        return out
+
+    def __getnewargs__(self):
+        # copy and pickle rebuild an element through __new__(cls, space).
+        return (self.space,)
+
+    @classmethod
+    def _raw(cls, space, terms: dict):
+        """Wrap a term dict without copying or checking it."""
+        out = object.__new__(cls)
+        out.space = space
+        out._terms = terms
+        return out
 
     @classmethod
     def zero(cls, space):
-        return cls(space)
+        return cls._raw(space, {})
 
     def _like(self, terms: dict):
-        return self._raw(self._space(), terms)
+        return self._raw(self.space, terms)
 
     def _check(self, other) -> None:
-        if self._space() != other._space():
+        if self.space != other.space:
             raise ValueError(self._mismatch)
 
     # -- structure ----------------------------------------------------
@@ -244,13 +271,13 @@ class LinearCombination:
     def __eq__(self, other) -> bool:
         return (
             type(other) is type(self)
-            and self._space() == other._space()
+            and self.space == other.space
             and self._terms == other._terms
         )
 
     def __hash__(self) -> int:
         return hash(
-            (self._space(), frozenset((k, frozenset(c.items())) for k, c in self._terms.items()))
+            (self.space, frozenset((k, frozenset(c.items())) for k, c in self._terms.items()))
         )
 
     # -- linear operations --------------------------------------------
@@ -261,12 +288,7 @@ class LinearCombination:
         self._check(other)
         out = dict(self._terms)
         for key, c in other._terms.items():
-            cur = out.get(key)
-            s = coeff_add(cur, c) if cur is not None else dict(c)
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
+            coeff_acc(out, key, c)
         return self._like(out)
 
     def __neg__(self):
@@ -294,11 +316,7 @@ class LinearCombination:
 
     def specialize_q1(self) -> dict:
         """The value at q = 1, as key -> nonzero int."""
-        out = {}
-        for key, c in self._terms.items():
-            if s := sum(c.values()):
-                out[key] = s
-        return out
+        return {key: s for key, c in self._terms.items() if (s := sum(c.values()))}
 
     # -- text form ----------------------------------------------------
 

@@ -281,10 +281,11 @@ def quasi_commutation_exponent(x: TorusElement, y: TorusElement) -> int:
 def upper_membership(x: TorusElement, seed: QuantumSeed) -> bool:
     """Test x against the initial torus and its N one-step mutations.
 
-    For each exchangeable i, collect x on index i; each layer with a
-    negative exponent -m must be left-divisible by the m-th power of the
-    mutated variable X'_i, read from seed.xprime(i), which builds every
-    X'_i on first use and keeps them on the seed.
+    For each exchangeable i and m > 0, the layer of x at -m (its terms
+    whose exponent at i is -m, which is M^(-m e_i) times the layer that
+    ``collect_on_index(i)`` returns at -m) must be left-divisible by the
+    m-th power of the mutated variable X'_i, read from seed.xprime(i),
+    which builds every X'_i on first use and keeps them on the seed.
     """
     if x.form != seed.ambient:
         raise ValueError("element does not live in the seed's ambient torus")
@@ -292,17 +293,15 @@ def upper_membership(x: TorusElement, seed: QuantumSeed) -> bool:
         raise ValueError("membership is tested against the initial seed")
     if x.is_zero():
         return True
-    n = seed.n
     for i in seed.ex:
         xprime = seed.xprime(i)
-        for k, y in x.collect_on_index(i).items():
-            if k >= 0:
-                continue
-            layer = TorusElement.monomial(
-                seed.ambient, tuple(k if l == i else 0 for l in range(n))
-            ) * y
+        layers: dict[int, dict] = {}
+        for alpha, c in x._terms.items():
+            if alpha[i] < 0:
+                layers.setdefault(alpha[i], {})[alpha] = c
+        for k, terms in layers.items():
             try:
-                layer.exact_divide_left(xprime ** (-k))
+                x._like(terms).exact_divide_left(xprime ** (-k))
             except DivisionFailure:
                 return False
     return True

@@ -12,12 +12,11 @@ index, left division and JSON.
 from __future__ import annotations
 
 from . import payload
-from ._kernels import coeff_add, coeff_neg, coeff_shift, torus_mul
+from ._kernels import coeff_acc, coeff_neg, coeff_shift, torus_mul
 from .qcoeff import (
     DivisionFailure,
     LinearCombination,
     QCoeff,
-    raw_coeff,
     render_raw,
     square_and_multiply,
 )
@@ -68,27 +67,25 @@ class SkewForm:
 class TorusElement(LinearCombination):
     """An element of the quantum torus attached to a SkewForm."""
 
-    __slots__ = ("form",)
+    __slots__ = ()
 
+    _key_name = "exponent"
     _mismatch = "elements live in different tori"
 
-    def __init__(self, form: SkewForm, terms=None):
-        """terms maps exponents to coefficients, as a dict or as (exponent,
-        coefficient) pairs; two exponents equal as int tuples raise."""
-        self.form = form
-        self._terms = {}
-        if terms:
-            n = form.rank
-            seen = set()
-            for alpha, c in terms.items() if hasattr(terms, "items") else terms:
-                key = tuple(int(x) for x in alpha)
-                if len(key) != n:
-                    raise ValueError(f"exponent {key} has wrong length for rank {n}")
-                if key in seen:
-                    raise ValueError(f"duplicate exponent {key}")
-                seen.add(key)
-                if raw := raw_coeff(c):
-                    self._terms[key] = raw
+    @property
+    def form(self) -> SkewForm:
+        return self.space
+
+    @staticmethod
+    def _key(form: SkewForm, alpha) -> tuple:
+        key = tuple(int(x) for x in alpha)
+        if len(key) != form.rank:
+            raise ValueError(f"exponent {key} has wrong length for rank {form.rank}")
+        return key
+
+    @staticmethod
+    def _key_text(alpha) -> str:
+        return f"M{list(alpha)}"
 
     # -- constructors ---------------------------------------------------
 
@@ -97,20 +94,6 @@ class TorusElement(LinearCombination):
         if isinstance(coeff, int):
             coeff = QCoeff.from_int(coeff)
         return cls(form, {tuple(alpha): coeff})
-
-    @classmethod
-    def _raw(cls, form: SkewForm, terms: dict) -> TorusElement:
-        out = cls.__new__(cls)
-        out.form = form
-        out._terms = terms
-        return out
-
-    def _space(self) -> SkewForm:
-        return self.form
-
-    @staticmethod
-    def _key_text(alpha) -> str:
-        return f"M{list(alpha)}"
 
     # -- structure ------------------------------------------------------
 
@@ -131,8 +114,7 @@ class TorusElement(LinearCombination):
         if not isinstance(other, TorusElement):
             return NotImplemented
         self._check(other)
-        prod = torus_mul(self._terms, other._terms, self.form.matrix)
-        return TorusElement._raw(self.form, prod)
+        return self._like(torus_mul(self._terms, other._terms, self.space.matrix))
 
     def __pow__(self, n: int) -> TorusElement:
         if n < 0:
@@ -143,9 +125,7 @@ class TorusElement(LinearCombination):
         """Multiply every coefficient by v^k."""
         if not k:
             return self
-        return TorusElement._raw(
-            self.form, {a: coeff_shift(c, k) for a, c in self._terms.items()}
-        )
+        return self._like({a: coeff_shift(c, k) for a, c in self._terms.items()})
 
     # -- collection and division -----------------------------------------
 
@@ -163,8 +143,8 @@ class TorusElement(LinearCombination):
             if k:
                 s = -k * sum(r * aj for r, aj in zip(row, alpha))
                 c = coeff_shift(c, s) if s else c
-            layers.setdefault(k, {})[rest] = dict(c)
-        return {k: TorusElement._raw(self.form, t) for k, t in layers.items()}
+            layers.setdefault(k, {})[rest] = c
+        return {k: self._like(t) for k, t in layers.items()}
 
     def exact_divide_left(self, divisor: TorusElement) -> TorusElement:
         """Return w with self == divisor * w, or raise DivisionFailure."""
@@ -198,16 +178,10 @@ class TorusElement(LinearCombination):
             c_w = QCoeff(rem[xi]).shift(-s).exact_divide(c_d)
             out[gamma] = c_w._terms
             # rem += divisor * M^gamma (-c_w), in place over the divisor's terms.
-            piece = divisor * TorusElement._raw(self.form, {gamma: coeff_neg(c_w._terms)})
+            piece = divisor * self._like({gamma: coeff_neg(c_w._terms)})
             for key, c in piece._terms.items():
-                cur = rem.get(key)
-                if cur is None:
-                    rem[key] = c
-                elif diff := coeff_add(cur, c):
-                    rem[key] = diff
-                else:
-                    del rem[key]
-        return TorusElement._raw(self.form, out)
+                coeff_acc(rem, key, c)
+        return self._like(out)
 
     def is_laurent_in_sublattice(self, allowed_negative) -> bool:
         """True when negative exponents occur only at the allowed indices."""

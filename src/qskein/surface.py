@@ -88,6 +88,8 @@ class TriangulatedSurface:
     def validate(self) -> None:
         """Derive ``arcs`` and ``triangles`` from the fans, checking that
         the fans describe a triangulated surface."""
+        if not self.fans:
+            raise ValueError("a surface needs at least one marked point")
         at: dict[ArcEnd, tuple[int, int]] = {}
         for p, fan in enumerate(self.fans):
             if len(fan) < 2:
@@ -237,15 +239,7 @@ class TriangulatedSurface:
                 for arc in self.arcs
             ],
             "triangles": [[[a, d] for a, d in tri] for tri in self.triangles],
-            "components": [
-                {
-                    "points": c["points"],
-                    "arcs": c["arcs"],
-                    "genus": c["genus"],
-                    "boundaries": c["boundaries"],
-                }
-                for c in self.components()
-            ],
+            "components": self.components(),
         }
 
     @classmethod

@@ -255,6 +255,31 @@ class TestSeed:
         assert out == ""
         assert err.startswith("input error: --state: (Lambda B)[1][0] = 1, expected 0")
 
+    def test_check_reports_a_nonpositive_diagonal_entry(self, capsys):
+        lam = SkewForm([[0, 1], [-1, 0]])
+        state = json.dumps(QuantumSeed.initial(lam, [[0], [-1]], (0,)).to_json())
+        code, out, _ = run_cli(capsys, "seed", "check", "--state", state)
+        assert code == 1
+        assert out == "FAIL (Lambda B)[0][0] = -1 is not positive\n"
+
+    def test_disc_preset(self, capsys):
+        code, out, _ = run_cli(capsys, "seed", "check", "--preset", "disc:6")
+        assert code == 0
+        assert out == 'OK diagonal {"1": 4, "2": 4, "3": 4}\n'
+
+    @pytest.mark.parametrize(
+        "preset, message",
+        [
+            ("disc:x", "bad disc size in 'disc:x'"),
+            ("disc:2", "a disc needs at least 3 marked points"),
+        ],
+    )
+    def test_bad_disc_preset_is_an_input_error(self, capsys, preset, message):
+        code, out, err = run_cli(capsys, "seed", "check", "--preset", preset)
+        assert code == 2
+        assert out == ""
+        assert err == f"input error: --preset: {message}\n"
+
     def test_unknown_preset(self, capsys):
         code, _, err = run_cli(capsys, "seed", "check", "--preset", "torus")
         assert code == 2
@@ -308,6 +333,14 @@ class TestSurface:
         code, _, err = run_cli(capsys, "surface", "build", "--kind", "disc", "--points", "2")
         assert code == 2
         assert "at least 3" in err
+
+    @pytest.mark.parametrize("verb", [["matrices"], ["flip", "--arc", "0"]])
+    def test_empty_surface_is_an_input_error(self, capsys, verb):
+        empty = '{"marked_points": [], "arcs": [], "triangles": []}'
+        code, out, err = run_cli(capsys, "surface", verb[0], "--surface", empty, *verb[1:])
+        assert code == 2
+        assert out == ""
+        assert err == "input error: --surface: a surface needs at least one marked point\n"
 
     def test_arcs_disagreeing_with_fans_are_an_input_error(self, capsys):
         data = json.loads(self.build(capsys, "--kind", "disc", "--points", "4"))

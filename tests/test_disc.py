@@ -1,6 +1,7 @@
 """Disc skein algebra: chords, rewriting, products, Laurent expansion."""
 
 import functools
+import math
 import random
 
 import pytest
@@ -163,6 +164,15 @@ class TestElementAlgebra:
         assert disc.product(DiscElement.one(5), x) == x
         assert disc.product(x, DiscElement.one(5)) == x
 
+    def test_mul_operator(self):
+        x = DiscElement.basis(4, [(1, 3)])
+        y = DiscElement.basis(4, [(2, 4)])
+        assert x * y == disc.product(x, y)
+        assert x * 3 == 3 * x == x.scale(3)
+        assert x * QCoeff.v(1) == x.scale(QCoeff.v(1))
+        with pytest.raises(TypeError):
+            x * "x"
+
     def test_scalar_multiplication(self):
         x = DiscElement.basis(4, [(1, 3)])
         assert 3 * x == x.scale(QCoeff.from_int(3))
@@ -274,6 +284,12 @@ class TestTriangulations:
         fan4 = tuple(sorted(disc.boundary_chords(4) + [(1, 3)]))
         with pytest.raises(ValueError):
             disc.flip_diagonal(4, fan4, (1, 2))
+
+
+    @pytest.mark.parametrize("n", range(3, 11))
+    def test_each_triangulation_listed_once(self, n):
+        deltas = disc.enumerate_triangulations(n)
+        assert len(deltas) == len(set(deltas)) == math.comb(2 * n - 4, n - 2) // (n - 1)
 
 
 class TestTriangulationMatrices:

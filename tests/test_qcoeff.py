@@ -1,10 +1,13 @@
 """Coefficient ring: integer Laurent polynomials in v = q^(1/2), and the shared element core."""
 
+import copy
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import qskein.qcoeff
+from qskein._kernels import coeff_acc
 from qskein.disc import DiscElement, all_chords
 from qskein.qcoeff import (
     UNKNOT_SCALAR,
@@ -264,6 +267,28 @@ class TestHash:
         assert hash(y) == hash(x)
 
 
+class TestCoeffAcc:
+    def test_new_key_stores_the_coefficient_itself(self):
+        out = {}
+        c = {1: 2}
+        coeff_acc(out, "k", c)
+        assert out == {"k": {1: 2}} and out["k"] is c
+
+    def test_sum_replaces_without_mutating_either_operand(self):
+        stored, added = {1: 2, 3: 1}, {1: -2, 5: 4}
+        out = {"k": stored}
+        coeff_acc(out, "k", added)
+        assert out == {"k": {3: 1, 5: 4}}
+        assert stored == {1: 2, 3: 1} and added == {1: -2, 5: 4}
+
+    def test_zero_sum_drops_the_key(self):
+        stored = {0: 1, 2: -3}
+        out = {"k": stored, "other": {0: 1}}
+        coeff_acc(out, "k", {0: -1, 2: 3})
+        assert out == {"other": {0: 1}}
+        assert stored == {0: 1, 2: -3}
+
+
 class TestLinearCombination:
     """The laws of the shared core, on torus and disc elements alike."""
 
@@ -299,6 +324,33 @@ class TestLinearCombination:
         sx, sy = x.specialize_q1(), y.specialize_q1()
         expected = {k: sx.get(k, 0) + sy.get(k, 0) for k in sx.keys() | sy.keys()}
         assert (x + y).specialize_q1() == {k: v for k, v in expected.items() if v}
+
+    def test_space_views_are_read_only(self):
+        x = TorusElement.monomial(FORM, (1, 0))
+        y = DiscElement.basis(5, [(1, 3)])
+        assert x.form is x.space is FORM
+        assert y.n == y.space == 5
+        with pytest.raises(AttributeError):
+            x.form = SkewForm([[0]])
+        with pytest.raises(AttributeError):
+            y.n = 6
+
+    def test_constructor_checks_every_key_through_the_hook(self):
+        with pytest.raises(ValueError, match=r"^duplicate exponent \(1, 0\)$"):
+            TorusElement(FORM, [((1, 0), 1), (("1", 0), 2)])
+        with pytest.raises(ValueError, match=r"^exponent \(1,\) has wrong length for rank 2$"):
+            TorusElement(FORM, {(1,): 1})
+        with pytest.raises(ValueError, match=r"^duplicate multiset \(\(\(1, 3\), 1\),\)$"):
+            DiscElement(5, [((((1, 3), 1),), 1), ((((3, 1), 1),), 0)])
+        with pytest.raises(ValueError, match="^a marked disc needs at least 3 boundary points$"):
+            DiscElement(2)
+        with pytest.raises(ValueError, match="^a marked disc needs at least 3 boundary points$"):
+            DiscElement.zero(2)
+        assert TorusElement(FORM, {(1, 0): 0}).is_zero()
+
+    @given(elements)
+    def test_copies_are_equal(self, x):
+        assert copy.deepcopy(x) == copy.copy(x) == x
 
     def test_cross_space_sums_keep_their_messages(self):
         with pytest.raises(ValueError, match="^elements live in different tori$"):

@@ -60,6 +60,13 @@ class TestCompatibility:
     def test_pentagon_diagonal(self, pentagon):
         assert pentagon.check_compatibility() == {1: 4, 2: 4}
 
+    def test_nonpositive_diagonal_entry_names_it(self):
+        seed = QuantumSeed.initial(SkewForm([[0, 1], [-1, 0]]), [[0], [-1]], (0,))
+        message = r"^\(Lambda B\)\[0\]\[0\] = -1 is not positive$"
+        with pytest.raises(CompatibilityError, match=message) as exc:
+            seed.check_compatibility()
+        assert exc.value.entry == (0, 0)
+
     def test_degenerate_pairing_raises(self):
         lam = SkewForm([[0, 0], [0, 0]])
         seed = QuantumSeed.initial(lam, [[0, 1], [-1, 0]], (0, 1))

@@ -103,6 +103,12 @@ class TestValidation:
                         continue
                     oracle_check(t)
 
+    def test_empty_surface_rejected(self):
+        with pytest.raises(ValueError, match="^a surface needs at least one marked point$"):
+            TriangulatedSurface([])
+        with pytest.raises(ValueError, match="^a surface needs at least one marked point$"):
+            TriangulatedSurface.from_json({"marked_points": [], "arcs": [], "triangles": []})
+
     def test_corrupted_triangle_rejected(self):
         data = surf.build_disc(4).to_json()
         t = data["triangles"][0]
