@@ -40,7 +40,6 @@ from .qseed import (
     is_acyclic,
     matrix_mutate,
     quasi_commutation_exponent,
-    seeds_equal,
     sinks,
     sources,
     upper_membership,
@@ -117,7 +116,6 @@ __all__ = [
     "quasi_commutation_exponent",
     "reduce_word",
     "render",
-    "seeds_equal",
     "sinks",
     "sources",
     "to_seed",

@@ -83,9 +83,6 @@ class AnnulusModel:
             lo -= 1
         return self._x[i]
 
-    def loop_ell(self) -> TorusElement:
-        return self.ell
-
     def grading(self, x: TorusElement) -> tuple[int, int]:
         """Endpoint degree (at the outer point, at the inner point)."""
         if x.is_zero():

@@ -19,15 +19,12 @@ pairing of arc ends at shared marked points (v = q^(1/2)).
 An element is a ``qcoeff.LinearCombination`` of basis multisets
 x[a, b]^w*... on n marked points; this module adds the skein product.
 
-Rewriting runs on interned chords.  Crossing, L and smoothing depend
-only on the cyclic order of the endpoints involved, so they are
-invariant under any relabelling that keeps that order.  ``reduce_word``
-and ``product`` therefore relabel the e distinct endpoints a call
-touches, in clockwise order, onto 1..e; chords become small ints, and
-the result keys are mapped back to the original labels.  The relations
-of the e-gon live in one table per e that is filled lazily, an entry at
-a time on first use, so no table is sized by n and none is built at
-import.
+Rewriting, products and the Laurent expansion run on interned chords:
+chord (a, b) of the n-gon is the int a * (n + 1) + b, so ids sort like
+chords.  The crossings, L and smoothings of the n-gon live in one table
+per n that is filled lazily, an entry at a time on first use, so none is
+built at import.  The Weyl twist of chords with weights, the sum of
+w w' L over their pairs, is ``_pairing`` on that table.
 
 The Laurent expansion into the quantum torus of a triangulation is an
 algebra map.  Each chord that is not an arc of the triangulation is
@@ -39,6 +36,7 @@ torus product of its chords' images, the arcs being monomials.
 from __future__ import annotations
 
 import functools
+import operator
 import random
 from operator import add, mul, sub
 from typing import Iterable
@@ -68,7 +66,7 @@ class InhomogeneousError(ValueError):
 
 
 def normalize_chord(n: int, c) -> Chord:
-    a, b = int(c[0]), int(c[1])
+    a, b = operator.index(c[0]), operator.index(c[1])
     if not (1 <= a <= n and 1 <= b <= n):
         raise ValueError(f"chord {c!r} out of range for {n} marked points")
     if a == b:
@@ -137,7 +135,7 @@ def multiset_key(n: int, chords: Iterable, weights=None) -> MultisetKey:
     else:
         for c, w in zip(chords, weights):
             c = normalize_chord(n, c)
-            counts[c] = counts.get(c, 0) + int(w)
+            counts[c] = counts.get(c, 0) + operator.index(w)
     counts = {c: w for c, w in counts.items() if w}
     for c, w in counts.items():
         if w < 0 and not is_boundary_chord(n, c):
@@ -270,10 +268,10 @@ class _Lazy(dict):
 
 
 class _Table:
-    """Chord relations of the e-gon, filled on first use.
+    """Chord relations of the n-gon, filled on first use.
 
-    Chord (a, b) of the e-gon is interned as the id a * m + b, m = e + 1,
-    so ids sort like chords; the ordered pair of ids (x, y) has the key
+    Chord (a, b) is interned as the id a * m + b, m = n + 1, so ids sort
+    like chords; the ordered pair of ids (x, y) has the key
     x * mm + y, mm = m * m.  ``pairs`` maps a pair key to lam_pair(x, y),
     or to None when x and y cross; ``smoothings`` maps the key of a
     crossing (over, under) to the ids (u1, u2, t1, t2) of its q- and
@@ -281,43 +279,44 @@ class _Table:
     table holds only the pairs some rewriting has met.
     """
 
-    __slots__ = ("e", "m", "mm", "pairs", "smoothings")
+    __slots__ = ("n", "m", "mm", "pairs", "smoothings")
 
-    def __init__(self, e: int):
-        self.e, self.m, self.mm = e, e + 1, (e + 1) ** 2
+    def __init__(self, n: int):
+        self.n, self.m, self.mm = n, n + 1, (n + 1) ** 2
         self.pairs = _Lazy(self._pair)
         self.smoothings = _Lazy(self._smoothing)
 
     def _pair(self, key: int):
         x, y = divmod(key, self.mm)
         cx, cy = divmod(x, self.m), divmod(y, self.m)
-        return None if crosses(cx, cy) else lam_pair(self.e, cx, cy)
+        return None if crosses(cx, cy) else lam_pair(self.n, cx, cy)
 
     def _smoothing(self, key: int) -> tuple[int, int, int, int]:
         over, under = divmod(key, self.mm)
         m = self.m
-        smoothed = _smooth(self.e, divmod(over, m), divmod(under, m))
+        smoothed = _smooth(self.n, divmod(over, m), divmod(under, m))
         return tuple(a * m + b for pair in smoothed for a, b in pair)
 
 
-@functools.lru_cache(maxsize=None)
-def _table(e: int) -> _Table:
-    return _Table(e)
+@functools.lru_cache(maxsize=256)
+def _table(n: int) -> _Table:
+    return _Table(n)
 
 
-def _relabel(points: Iterable[int]) -> tuple[_Table, dict[int, int], list[int]]:
-    """Relabel the marked points touched, in clockwise order, onto 1..e.
-
-    Returns the table of the e-gon, the map from old labels to new, and
-    the list mapping new labels back (entry 0 unused).
-    """
-    labels = sorted(set(points))
-    return _table(len(labels)), {p: k for k, p in enumerate(labels, 1)}, [0, *labels]
+def _unintern(key, m: int) -> MultisetKey:
+    """An id-keyed multiset as chords."""
+    return tuple((divmod(x, m), w) for x, w in key)
 
 
-def _unintern(key, m: int, back: list[int]) -> MultisetKey:
-    """An id-keyed multiset in the original labels."""
-    return tuple(((back[x // m], back[x % m]), w) for x, w in key)
+def _pairing(t: _Table, a, b=None) -> int:
+    """Sum of wa * wb * L(xa, xb) over (id, weight) pairs xa of a and xb of
+    b, or over the pairs i < j of the list a when b is None."""
+    pairs, mm = t.pairs, t.mm
+    s = 0
+    for i, (xa, wa) in enumerate(a):
+        for xb, wb in a[i + 1 :] if b is None else b:
+            s += wa * wb * pairs[xa * mm + xb]
+    return s
 
 
 # -- reduction to the canonical basis -------------------------------------
@@ -391,77 +390,53 @@ def reduce_word(n: int, word, rng: random.Random | None = None) -> DiscElement:
     resolved at each step is chosen at random among the admissible ones
     (used to check that the rewriting is confluent).
     """
-    word = [normalize_chord(n, c) for c in word]
-    t, index, back = _relabel(p for c in word for p in c)
+    t = _table(n)
     m = t.m
-    terms = _reduce(t, tuple(index[a] * m + index[b] for a, b in word), rng)
-    return DiscElement._raw(n, {_unintern(k, m, back): c for k, c in terms.items()})
+    word = tuple(a * m + b for a, b in (normalize_chord(n, c) for c in word))
+    terms = _reduce(t, word, rng)
+    return DiscElement._raw(n, {_unintern(k, m): c for k, c in terms.items()})
 
 
 def product(x: DiscElement, y: DiscElement) -> DiscElement:
     """Skein product, x drawn over y."""
     x._check(y)
     n = x.n
-    t, index, back = _relabel(
-        p for el in (x, y) for key in el._terms for c, _ in key for p in c
-    )
-    pairs, m, mm = t.pairs, t.m, t.mm
+    t = _table(n)
+    m = t.m
 
-    def split(key: MultisetKey) -> tuple[dict[int, int], tuple[int, ...]]:
-        """(boundary id -> weight, word of internal ids)."""
-        bnd: dict[int, int] = {}
-        word: list[int] = []
+    def split(key: MultisetKey):
+        """Boundary and internal (id, weight) lists, the word of internal
+        ids, and the twist that Weyl-orders the chords."""
+        bnd: list[tuple[int, int]] = []
+        inner: list[tuple[int, int]] = []
         for c, w in key:
-            cid = index[c[0]] * m + index[c[1]]
-            if is_boundary_chord(n, c):
-                bnd[cid] = w
-            else:
-                word.extend([cid] * w)
-        return bnd, tuple(word)
+            (bnd if is_boundary_chord(n, c) else inner).append((c[0] * m + c[1], w))
+        word = tuple(cid for cid, w in inner for _ in range(w))
+        return bnd, inner, word, -_pairing(t, bnd, inner) - _pairing(t, inner)
 
-    def lam(a, b) -> int:
-        """Sum of wa * wb * lam_pair over (id, weight) pairs of a and b."""
-        s = 0
-        for xa, wa in a:
-            for xb, wb in b:
-                s += wa * wb * pairs[xa * mm + xb]
-        return s
-
-    def word_twist(word: tuple[int, ...]) -> int:
-        s = 0
-        for i, xa in enumerate(word):
-            for xb in word[i + 1 :]:
-                s += pairs[xa * mm + xb]
-        return s
-
-    ys = []
-    for ky, cy in y._terms.items():
-        by, wy = split(ky)
-        ys.append((by, wy, cy, -lam(by.items(), [(c, 1) for c in wy]) - word_twist(wy)))
+    ys = [(split(ky), cy) for ky, cy in y._terms.items()]
     out: dict[tuple, dict] = {}
     memo: dict[tuple[int, ...], dict] = {}
     for kx, cx in x._terms.items():
-        bx, wx = split(kx)
-        ones_x = [(c, 1) for c in wx]
-        twist_x = -lam(bx.items(), ones_x) - word_twist(wx)
-        for by, wy, cy, twist_y in ys:
+        bx, ix, wx, twist_x = split(kx)
+        for (by, _, wy, twist_y), cy in ys:
             word = wx + wy
             reduced = memo.get(word)
             if reduced is None:
                 reduced = memo[word] = _reduce(t, word)
-            shift = twist_x + twist_y + 2 * lam(ones_x, by.items()) + lam(bx.items(), by.items())
+            shift = twist_x + twist_y + 2 * _pairing(t, ix, by) + _pairing(t, bx, by)
             bnd = dict(bx)
-            for c, w in by.items():
+            for c, w in by:
                 bnd[c] = bnd.get(c, 0) + w
             cxy = coeff_shift(coeff_mul(cx, cy), shift)
             for rkey, rcoef in reduced.items():
-                s2 = lam(bnd.items(), rkey)
+                s2 = _pairing(t, bnd.items(), rkey)
                 merged = dict(bnd)
                 for c, w in rkey:
                     merged[c] = merged.get(c, 0) + w
                 key = tuple(sorted((c, w) for c, w in merged.items() if w))
                 coeff_acc(out, key, coeff_shift(coeff_mul(cxy, rcoef), s2))
-    return DiscElement._raw(n, {_unintern(k, m, back): c for k, c in out.items()})
+    return DiscElement._raw(n, {_unintern(k, m): c for k, c in out.items()})
 
 
 # -- crossing numbers ------------------------------------------------------
@@ -557,7 +532,7 @@ def localize(x: DiscElement, weights: dict) -> DiscElement:
         c = normalize_chord(n, c)
         if not is_boundary_chord(n, c):
             raise LocalizationError(f"chord {c} is not a boundary chord")
-        norm[c] = norm.get(c, 0) + int(w)
+        norm[c] = norm.get(c, 0) + operator.index(w)
     norm = {c: w for c, w in norm.items() if w}
     if not norm:
         return x
@@ -688,31 +663,25 @@ def expand_laurent(x: DiscElement, delta) -> TorusElement:
     """
     n = x.n
     arcs, index, form, images = _triangulation(n, tuple(map(tuple, delta)))
-    # lam_pair from the table of the n-gon itself: chord (a, b) is id a * m + b.
     t = _table(n)
-    pairs, m, mm = t.pairs, t.m, t.mm
+    m = t.m
     unit = {(0,) * len(arcs): {0: 1}}
     out: dict[tuple, dict] = {}
     for key, c in x._terms.items():
         alpha = [0] * len(arcs)
         arc_ids: list[tuple[int, int]] = []
-        others: list[tuple[Chord, int, int]] = []
+        other_ids: list[tuple[int, int]] = []
+        torus = None
         for ch, w in key:
             i = index.get(ch)
             if i is None:
-                others.append((ch, ch[0] * m + ch[1], w))
+                other_ids.append((ch[0] * m + ch[1], w))
+                for _ in range(w):
+                    torus = images[ch] if torus is None else torus * images[ch]
             else:
                 alpha[i] = w
                 arc_ids.append((ch[0] * m + ch[1], w))
-        twist = 0
-        torus = None
-        for k, (ch, cid, w) in enumerate(others):
-            for aid, wa in arc_ids:
-                twist -= wa * w * pairs[aid * mm + cid]
-            for _, cid2, w2 in others[k + 1 :]:
-                twist -= w * w2 * pairs[cid * mm + cid2]
-            for _ in range(w):
-                torus = images[ch] if torus is None else torus * images[ch]
+        twist = -_pairing(t, arc_ids, other_ids) - _pairing(t, other_ids)
         # row[j] = Lambda(alpha, e_j): M^alpha M^beta = v^(row . beta) M^(alpha + beta).
         row = [0] * len(arcs)
         for i, w in enumerate(alpha):

@@ -12,6 +12,7 @@ over this ring.
 
 from __future__ import annotations
 
+import operator
 import re
 
 from ._kernels import coeff_acc, coeff_add, coeff_mul, coeff_neg, coeff_shift
@@ -192,7 +193,8 @@ def raw_coeff(c) -> dict[int, int]:
     """The raw v-exponent dict, zeros dropped, of a QCoeff, a dict or an int."""
     if isinstance(c, QCoeff):
         return dict(c._terms)
-    raw = {int(k): int(x) for k, x in c.items()} if hasattr(c, "items") else {0: int(c)}
+    index = operator.index
+    raw = {index(k): index(x) for k, x in c.items()} if hasattr(c, "items") else {0: index(c)}
     return {k: x for k, x in raw.items() if x}
 
 

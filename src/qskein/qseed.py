@@ -19,7 +19,7 @@ and reused after that.  The memo is not part of the seed's identity:
 
 from __future__ import annotations
 
-import itertools
+import operator
 from collections import deque
 
 from . import payload
@@ -40,7 +40,7 @@ class CompatibilityError(ValueError):
 
 
 def _as_int_matrix(rows, cols=None) -> tuple[tuple[int, ...], ...]:
-    out = tuple(tuple(int(v) for v in row) for row in rows)
+    out = tuple(tuple(map(operator.index, row)) for row in rows)
     if cols is not None:
         for row in out:
             if len(row) != cols:
@@ -57,7 +57,7 @@ class QuantumSeed:
         n = ambient.rank
         if lam.rank != n:
             raise ValueError("lambda matrix rank differs from ambient torus rank")
-        ex = tuple(int(i) for i in ex)
+        ex = tuple(map(operator.index, ex))
         if sorted(set(ex)) != list(ex):
             raise ValueError("exchangeable indices must be sorted and distinct")
         if ex and not (0 <= ex[0] and ex[-1] < n):
@@ -137,7 +137,7 @@ class QuantumSeed:
 
     def frame_monomial(self, gamma) -> TorusElement:
         """Normalized monomial M(gamma) for gamma >= 0 componentwise."""
-        gamma = tuple(int(g) for g in gamma)
+        gamma = tuple(map(operator.index, gamma))
         if len(gamma) != self.n:
             raise ValueError("exponent vector has wrong length")
         if any(g < 0 for g in gamma):
@@ -305,48 +305,6 @@ def upper_membership(x: TorusElement, seed: QuantumSeed) -> bool:
             except DivisionFailure:
                 return False
     return True
-
-
-def seeds_equal(s1: QuantumSeed, s2: QuantumSeed) -> bool:
-    """Equality up to a simultaneous permutation of indices.
-
-    Frames must agree as multisets of torus elements; the permutation
-    matching them must also carry (B, Lambda, ex) of one seed to the
-    other.
-    """
-    if s1.ambient != s2.ambient or s1.n != s2.n or len(s1.ex) != len(s2.ex):
-        return False
-    n = s1.n
-    f2_index: dict = {}
-    for j, f in enumerate(s2.frame):
-        f2_index.setdefault(f.fingerprint(), []).append(j)
-    buckets = []
-    for f in s1.frame:
-        js = f2_index.get(f.fingerprint())
-        if not js:
-            return False
-        buckets.append(js)
-
-    def check(perm) -> bool:
-        if sorted(perm[i] for i in s1.ex) != sorted(s2.ex):
-            return False
-        for i in range(n):
-            for j in range(n):
-                if s1.lam.matrix[i][j] != s2.lam.matrix[perm[i]][perm[j]]:
-                    return False
-        cols2 = {j: c for c, j in enumerate(s2.ex)}
-        for c, j in enumerate(s1.ex):
-            for k in range(n):
-                if s1.b[k][c] != s2.b[perm[k]][cols2[perm[j]]]:
-                    return False
-        return True
-
-    for choice in itertools.product(*buckets):
-        if len(set(choice)) != n:
-            continue
-        if check(choice):
-            return True
-    return False
 
 
 def enumerate_seeds(seed: QuantumSeed, max_seeds: int = 64, max_depth: int = 16):

@@ -11,6 +11,8 @@ index, left division and JSON.
 
 from __future__ import annotations
 
+import operator
+
 from . import payload
 from ._kernels import coeff_acc, coeff_neg, coeff_shift, torus_mul
 from .qcoeff import (
@@ -28,7 +30,7 @@ class SkewForm:
     __slots__ = ("matrix",)
 
     def __init__(self, matrix):
-        rows = tuple(tuple(int(x) for x in row) for row in matrix)
+        rows = tuple(tuple(map(operator.index, row)) for row in matrix)
         n = len(rows)
         for row in rows:
             if len(row) != n:
@@ -78,7 +80,7 @@ class TorusElement(LinearCombination):
 
     @staticmethod
     def _key(form: SkewForm, alpha) -> tuple:
-        key = tuple(int(x) for x in alpha)
+        key = tuple(map(operator.index, alpha))
         if len(key) != form.rank:
             raise ValueError(f"exponent {key} has wrong length for rank {form.rank}")
         return key

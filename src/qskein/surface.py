@@ -27,6 +27,7 @@ annuli, disjoint unions); the data model itself permits any genus.
 
 from __future__ import annotations
 
+import operator
 from typing import NamedTuple
 
 from . import payload
@@ -58,7 +59,7 @@ class TriangulatedSurface:
 
     def __init__(self, fans):
         self.fans: tuple[tuple[ArcEnd, ...], ...] = tuple(
-            tuple((int(a), int(e)) for a, e in fan) for fan in fans
+            tuple((operator.index(a), operator.index(e)) for a, e in fan) for fan in fans
         )
         self.validate()
 
@@ -390,7 +391,7 @@ def from_chords(n: int, arcs) -> TriangulatedSurface:
 
     if n < 3:
         raise ValueError("a triangulated disc needs at least 3 marked points")
-    chords = [tuple(sorted((int(c[0]), int(c[1])))) for c in arcs]
+    chords = [tuple(sorted((operator.index(c[0]), operator.index(c[1])))) for c in arcs]
     for a, b in chords:
         if not 1 <= a < b <= n:
             raise ValueError(f"({a}, {b}) is not a chord of the {n}-gon")

@@ -188,9 +188,6 @@ class TestLoop:
     def test_loop_is_not_central(self, model):
         assert model.ell * model.x(0) != model.x(0) * model.ell
 
-    def test_loop_ell_alias(self, model):
-        assert model.loop_ell() == model.ell
-
 
 class TestClusterVariables:
     def test_initial_variables(self, model):

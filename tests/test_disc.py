@@ -151,6 +151,12 @@ class TestReduce:
         lhs = disc.product(disc.reduce_word(n, w1), disc.reduce_word(n, w2))
         assert lhs == disc.reduce_word(n, w1 + w2)
 
+    def test_one_table_per_disc_size_and_at_most_256(self):
+        for n in range(3, 303):
+            disc.reduce_word(n, [(1, 3), (2, n)])
+        assert disc._table(300).n == 300
+        assert disc._table.cache_info().currsize == 256
+
 
 class TestElementAlgebra:
     def test_size_mismatch_rejected(self):
@@ -567,6 +573,42 @@ class TestAgainstOracles:
         got = disc.product(x, y)
         assert got == oracle_product(x, y)
         assert len(got.support()) == 4
+
+
+def _turn(n, r, c):
+    """Chord c with marked point p relabelled p + r (mod n)."""
+    return tuple((p - 1 + r) % n + 1 for p in c)
+
+
+def _rotate(n, r, x):
+    return DiscElement(
+        n, [(tuple((_turn(n, r, c), w) for c, w in key), coef) for key, coef in x._terms.items()]
+    )
+
+
+class TestRotation:
+    """The relations of the disc are the same at every marked point, so
+    relabelling p as p + r (mod n) commutes with rewriting and products.
+    The tuple oracles call lam_pair and _smooth themselves, so only this
+    sees a fault in how one n-gon's table wraps its labels around."""
+
+    @given(st.integers(3, 12).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n - 1), long_words(n))))
+    @settings(max_examples=150, deadline=None)
+    def test_rotating_a_word_rotates_its_reduction(self, case):
+        n, r, word = case
+        got = disc.reduce_word(n, [_turn(n, r, c) for c in word])
+        assert got == _rotate(n, r, disc.reduce_word(n, word))
+
+    @given(
+        st.integers(3, 12).flatmap(
+            lambda n: st.tuples(st.just(n), st.integers(1, n - 1), localized(n), localized(n))
+        )
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_rotating_localized_factors_rotates_their_product(self, case):
+        n, r, x, y = case
+        got = disc.product(_rotate(n, r, x), _rotate(n, r, y))
+        assert got == _rotate(n, r, disc.product(x, y))
 
 
 @functools.lru_cache(maxsize=None)

@@ -13,7 +13,7 @@ from qskein import surface as surf
 from qskein.disc import DiscElement
 from qskein.payload import PayloadError
 from qskein.qseed import QuantumSeed
-from qskein.qtorus import TorusElement
+from qskein.qtorus import SkewForm, TorusElement
 
 FAN5 = [[1, 2], [1, 3], [1, 4], [1, 5], [2, 3], [3, 4], [4, 5]]
 SEED4 = cli._disc_preset(4)
@@ -75,6 +75,36 @@ def test_disc_weights_default_to_one():
     for t in data["terms"]:
         del t["weights"]
     assert DiscElement.from_json(data) == x
+
+
+# -- the library constructors -------------------------------------------------
+
+
+FORM1 = SkewForm([[0]])
+FORM2 = SkewForm([[0, 1], [-1, 0]])
+
+#: Each builds one object with the value ``bad`` where an int belongs.
+CONSTRUCTORS = {
+    "chord end": lambda bad: DiscElement.basis(5, [(bad, 3)]),
+    "multiset weight": lambda bad: disc.multiset_key(5, [(1, 3)], [bad]),
+    "localize weight": lambda bad: disc.localize(DiscElement.one(5), {(1, 2): bad}),
+    "form entry": lambda bad: SkewForm([[0, bad], [0, 0]]),
+    "torus exponent": lambda bad: TorusElement(FORM2, {(bad, 0): 1}),
+    "coefficient": lambda bad: TorusElement(FORM2, {(1, 0): bad}),
+    "coefficient exponent": lambda bad: TorusElement(FORM2, {(1, 0): {bad: 1}}),
+    "exchangeable index": lambda bad: QuantumSeed.initial(FORM1, [[0]], [bad]),
+    "exchange entry": lambda bad: QuantumSeed.initial(FORM1, [[bad]], [0]),
+    "frame exponent": lambda bad: QuantumSeed.initial(FORM2, [[], []], []).frame_monomial([bad, 0]),
+    "fan entry": lambda bad: surf.TriangulatedSurface([[(bad, 0)]]),
+    "triangulation chord": lambda bad: surf.from_chords(3, [(bad, 2), (2, 3), (1, 3)]),
+}
+
+
+@pytest.mark.parametrize("bad", [1.7, 1.5, "1"])
+@pytest.mark.parametrize("site", sorted(CONSTRUCTORS))
+def test_library_constructors_reject_non_integers(site, bad):
+    with pytest.raises(TypeError):
+        CONSTRUCTORS[site](bad)
 
 
 # -- the command line ----------------------------------------------------------

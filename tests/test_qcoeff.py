@@ -337,7 +337,7 @@ class TestLinearCombination:
 
     def test_constructor_checks_every_key_through_the_hook(self):
         with pytest.raises(ValueError, match=r"^duplicate exponent \(1, 0\)$"):
-            TorusElement(FORM, [((1, 0), 1), (("1", 0), 2)])
+            TorusElement(FORM, [((1, 0), 1), ((True, 0), 2)])
         with pytest.raises(ValueError, match=r"^exponent \(1,\) has wrong length for rank 2$"):
             TorusElement(FORM, {(1,): 1})
         with pytest.raises(ValueError, match=r"^duplicate multiset \(\(\(1, 3\), 1\),\)$"):

@@ -328,10 +328,6 @@ class TestEnumeration:
         assert [x.to_json() for x in seeds] == [x.to_json() for x in out]
         assert got_truncated == truncated
 
-    def test_seeds_equal(self, pentagon):
-        assert qseed.seeds_equal(pentagon, pentagon)
-        assert not qseed.seeds_equal(pentagon, pentagon.mutate(1))
-
 
 class TestJson:
     def test_round_trip_initial(self, pentagon):

@@ -48,7 +48,7 @@ class TestConstructor:
     def test_rejects_exponents_that_normalise_alike(self):
         form = SkewForm([[0, 1], [-1, 0]])
         with pytest.raises(ValueError, match=r"duplicate exponent \(1, 0\)"):
-            TorusElement(form, {("1", 0): 1, (1, 0): 2})
+            TorusElement(form, [((True, 0), 1), ((1, 0), 2)])
         with pytest.raises(ValueError, match=r"duplicate exponent \(1, 0\)"):
             TorusElement(form, [((1, 0), 1), ((1, 0), 2)])
 
