@@ -133,13 +133,15 @@ def _disc_preset(n: int) -> QuantumSeed:
 # ---------------------------------------------------------------------------
 
 
-def _emit(args, payload, text: str | None = None) -> None:
+def _emit(args, payload, text=None) -> None:
+    """Print payload() as JSON, or text() in text mode (payload() indented
+    when there is no text); each mode builds only what it prints."""
     if args.mode == "json":
-        print(json.dumps(payload, sort_keys=True))
+        print(json.dumps(payload(), sort_keys=True))
     elif text is not None:
-        print(text)
+        print(text())
     else:
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(json.dumps(payload(), indent=2, sort_keys=True))
 
 
 def _surface_text(s) -> str:
@@ -176,7 +178,7 @@ def cmd_skein_reduce(args) -> int:
     if args.randomize:
         rng = random.Random(args.seed)
     el = disc.reduce_word(n, word, rng=rng)
-    _emit(args, el.to_json(), text=repr(el))
+    _emit(args, el.to_json, lambda: repr(el))
     return 0
 
 
@@ -192,7 +194,7 @@ def cmd_skein_product(args) -> int:
         x = _load_skein(n, "--x", args.x)
         y = _load_skein(n, "--y", args.y)
         el = disc.product(x, y)
-    _emit(args, el.to_json(), text=repr(el))
+    _emit(args, el.to_json, lambda: repr(el))
     return 0
 
 
@@ -201,7 +203,7 @@ def cmd_skein_expand(args) -> int:
     delta = _load_delta(n, "--delta", args.delta)
     x = _load_skein(n, "--x", args.x)
     expansion = disc.expand_laurent(x, delta)
-    _emit(args, expansion.to_json(), text=repr(expansion))
+    _emit(args, expansion.to_json, lambda: repr(expansion))
     return 0
 
 
@@ -213,13 +215,13 @@ def cmd_skein_mu(args) -> int:
             raise InputError("use either --y or --delta, not both")
         delta = _load_delta(n, "--delta", args.delta)
         vec = disc.mu_delta(n, delta, x)
-        _emit(args, {"mu_delta": list(vec)}, text="mu_delta: " + json.dumps(list(vec)))
+        _emit(args, lambda: {"mu_delta": list(vec)}, lambda: "mu_delta: " + json.dumps(list(vec)))
         return 0
     if args.y is None:
         raise InputError("provide --y or --delta")
     y = _load_skein(n, "--y", args.y)
     value = disc.mu(x, y)
-    _emit(args, {"mu": value}, text=f"mu: {value}")
+    _emit(args, lambda: {"mu": value}, lambda: f"mu: {value}")
     return 0
 
 
@@ -236,7 +238,7 @@ def cmd_seed_mutate(args) -> int:
         raise InputError(f"--state: {exc}") from exc
     except (ValueError, IndexError) as exc:
         raise InputError(f"--at: {exc}") from exc
-    _emit(args, mutated.to_json(), text=_seed_text(mutated))
+    _emit(args, mutated.to_json, lambda: _seed_text(mutated))
     return 0
 
 
@@ -245,11 +247,14 @@ def cmd_seed_check(args) -> int:
     try:
         diag = seed.check_compatibility()
     except CompatibilityError as exc:
-        _emit(args, {"ok": False, "error": str(exc)}, text=f"FAIL {exc}")
+        _emit(args, lambda: {"ok": False, "error": str(exc)}, lambda: f"FAIL {exc}")
         return 1
-    payload = {"ok": True, "diagonal": {str(j): v for j, v in sorted(diag.items())}}
-    text = "OK diagonal " + json.dumps(payload["diagonal"], sort_keys=True)
-    _emit(args, payload, text=text)
+    diagonal = {str(j): v for j, v in sorted(diag.items())}
+    _emit(
+        args,
+        lambda: {"ok": True, "diagonal": diagonal},
+        lambda: "OK diagonal " + json.dumps(diagonal, sort_keys=True),
+    )
     return 0
 
 
@@ -259,7 +264,7 @@ def cmd_seed_freeze(args) -> int:
         frozen = seed.freeze({int(t) for t in args.drop.split(",") if t.strip() != ""})
     except ValueError as exc:
         raise InputError(f"--drop: {exc}") from exc
-    _emit(args, frozen.to_json(), text=_seed_text(frozen))
+    _emit(args, frozen.to_json, lambda: _seed_text(frozen))
     return 0
 
 
@@ -275,13 +280,15 @@ def cmd_seed_enumerate(args) -> int:
         )
     except CompatibilityError as exc:
         raise InputError(f"--state: {exc}") from exc
-    payload = {
-        "count": len(seeds),
-        "truncated": truncated,
-        "seeds": [s.to_json() for s in seeds],
-    }
-    text = f"{len(seeds)} seed(s); truncated: {str(truncated).lower()}"
-    _emit(args, payload, text=text)
+    _emit(
+        args,
+        lambda: {
+            "count": len(seeds),
+            "truncated": truncated,
+            "seeds": [s.to_json() for s in seeds],
+        },
+        lambda: f"{len(seeds)} seed(s); truncated: {str(truncated).lower()}",
+    )
     return 0
 
 
@@ -303,7 +310,7 @@ def cmd_seed_member(args) -> int:
         member = qseed.upper_membership(el, seed)
     except CompatibilityError as exc:
         raise InputError(f"--state: {exc}") from exc
-    _emit(args, {"member": member}, text=f"member: {str(member).lower()}")
+    _emit(args, lambda: {"member": member}, lambda: f"member: {str(member).lower()}")
     return 0 if member else 1
 
 
@@ -323,7 +330,7 @@ def cmd_surface_build(args) -> int:
         if args.p < 1 or args.q < 1:
             raise InputError("--p and --q must be at least 1")
         s = surf.build_annulus(args.p, args.q)
-    _emit(args, s.to_json(), text=_surface_text(s))
+    _emit(args, s.to_json, lambda: _surface_text(s))
     return 0
 
 
@@ -333,7 +340,7 @@ def cmd_surface_flip(args) -> int:
         flipped = surf.flip(s, args.arc)
     except surf.FlipError as exc:
         raise InputError(f"--arc: {exc}") from exc
-    _emit(args, flipped.to_json(), text=_surface_text(flipped))
+    _emit(args, flipped.to_json, lambda: _surface_text(flipped))
     return 0
 
 
@@ -343,7 +350,7 @@ def cmd_surface_cut(args) -> int:
         cut = surf.cut(s, args.arc)
     except (surf.CutError, NotImplementedError) as exc:
         raise InputError(f"--arc: {exc}") from exc
-    _emit(args, cut.to_json(), text=_surface_text(cut))
+    _emit(args, cut.to_json, lambda: _surface_text(cut))
     return 0
 
 
@@ -357,7 +364,7 @@ def cmd_surface_matrices(args) -> int:
         "ex": list(seed.ex),
         "pi_b": seed.pi_b(),
     }
-    _emit(args, payload)
+    _emit(args, lambda: payload)
     return 0
 
 
@@ -373,7 +380,7 @@ def cmd_annulus_verify(args) -> int:
     results = model.verify_identities(irange=args.range)
     ok = all(r["ok"] for r in results)
     if args.mode == "json":
-        _emit(args, {"ok": ok, "checks": results})
+        _emit(args, lambda: {"ok": ok, "checks": results})
     else:
         for r in results:
             print(("PASS " if r["ok"] else "FAIL ") + r["name"])
@@ -388,7 +395,7 @@ def cmd_verify(args) -> int:
     results = verify.run(suites, seed=args.seed)
     ok = all(verify.passed(r) for r in results)
     if args.mode == "json":
-        _emit(args, {"ok": ok, "results": results})
+        _emit(args, lambda: {"ok": ok, "results": results})
     else:
         for r in results:
             print(verify.format_line(r))

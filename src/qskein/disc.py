@@ -416,14 +416,10 @@ def product(x: DiscElement, y: DiscElement) -> DiscElement:
 
     ys = [(split(ky), cy) for ky, cy in y._terms.items()]
     out: dict[tuple, dict] = {}
-    memo: dict[tuple[int, ...], dict] = {}
     for kx, cx in x._terms.items():
         bx, ix, wx, twist_x = split(kx)
         for (by, _, wy, twist_y), cy in ys:
-            word = wx + wy
-            reduced = memo.get(word)
-            if reduced is None:
-                reduced = memo[word] = _reduce(t, word)
+            reduced = _reduce(t, wx + wy)
             shift = twist_x + twist_y + 2 * _pairing(t, ix, by) + _pairing(t, bx, by)
             bnd = dict(bx)
             for c, w in by:

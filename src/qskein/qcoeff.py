@@ -385,6 +385,7 @@ _TERM_RE = re.compile(
     \s*$""",
     re.VERBOSE,
 )
+_SIGN_OR_PAREN = re.compile(r"[-+()]")
 
 
 #: Per v-exponent k: the text of +v^k and -v^k after the first term, and
@@ -439,20 +440,25 @@ def parse(text: str) -> QCoeff:
         raise ValueError("empty coefficient string")
     if s == "0":
         return QCoeff.zero()
-    # Split into signed terms at top level.
+    # Split into signed terms at top level: a sign splits unless it follows
+    # one of "^(/e*" or sits inside parentheses.  Only signs and
+    # parentheses are visited, so the split is linear in the text.
     pieces: list[tuple[int, str]] = []
-    sign, buf = 1, []
-    for i, ch in enumerate(s):
-        if ch in "+-" and (i == 0 or s[i - 1] not in "^(/e*" and not _inside_paren(s, i)):
-            if buf and "".join(buf).strip():
-                pieces.append((sign, "".join(buf)))
-                buf = []
-                sign = 1
+    sign, buf, start, depth = 1, "", 0, 0
+    for m in _SIGN_OR_PAREN.finditer(s):
+        ch, i = m.group(), m.start()
+        if ch in "()":
+            depth += 1 if ch == "(" else -1
+        elif i == 0 or s[i - 1] not in "^(/e*" and depth <= 0:
+            buf += s[start:i]
+            start = i + 1
+            if buf.strip():
+                pieces.append((sign, buf))
+                buf, sign = "", 1
             sign *= -1 if ch == "-" else 1
-        else:
-            buf.append(ch)
-    if buf and "".join(buf).strip():
-        pieces.append((sign, "".join(buf)))
+    buf += s[start:]
+    if buf.strip():
+        pieces.append((sign, buf))
     if not pieces:
         raise ValueError(f"cannot parse coefficient: {text!r}")
     terms: dict[int, int] = {}
@@ -471,7 +477,3 @@ def parse(text: str) -> QCoeff:
             k = 2
         terms[k] = terms.get(k, 0) + sgn * c
     return QCoeff(terms)
-
-
-def _inside_paren(s: str, i: int) -> bool:
-    return s.count("(", 0, i) > s.count(")", 0, i)

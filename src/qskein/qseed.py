@@ -9,7 +9,9 @@ inside T_0: every new cluster variable is stored by its Laurent
 expansion in the initial torus.  Mutation reads the new Lambda from the
 closed formula E^T Lambda E, not from torus products, so it trusts
 Lambda: ``from_json`` checks it against the frame, and
-``quasi_commutation_exponent`` remains the product-based oracle.
+``quasi_commutation_exponent`` remains the product-based oracle.  The
+columns of Lambda B, in the compatibility check and in mutation, and the
+new row of Lambda are all read from ``SkewForm.act``.
 ``upper_membership`` divides by the X'_i that ``mutate`` builds, so the
 exchange relation has one implementation; a seed keeps them in a private
 memo, built for every exchangeable index on the first membership test
@@ -39,6 +41,10 @@ class CompatibilityError(ValueError):
         super().__init__(message)
 
 
+def _expected_zero(k: int, c: int, entry: int) -> CompatibilityError:
+    return CompatibilityError(f"(Lambda B)[{k}][{c}] = {entry}, expected 0", entry=(k, c))
+
+
 def _as_int_matrix(rows, cols=None) -> tuple[tuple[int, ...], ...]:
     out = tuple(tuple(map(operator.index, row)) for row in rows)
     if cols is not None:
@@ -46,6 +52,14 @@ def _as_int_matrix(rows, cols=None) -> tuple[tuple[int, ...], ...]:
             if len(row) != cols:
                 raise ValueError(f"expected rows of length {cols}, got {len(row)}")
     return out
+
+
+def _unit_frame(form: SkewForm) -> tuple[TorusElement, ...]:
+    """The basis monomials M^(e_j) of the torus of form: the initial frame."""
+    n = form.rank
+    return tuple(
+        TorusElement.monomial(form, tuple(int(k == j) for k in range(n))) for j in range(n)
+    )
 
 
 class QuantumSeed:
@@ -88,26 +102,14 @@ class QuantumSeed:
 
     @classmethod
     def initial(cls, lam: SkewForm, b, ex) -> QuantumSeed:
-        frame = tuple(
-            TorusElement.monomial(lam, tuple(1 if k == j else 0 for k in range(lam.rank)))
-            for j in range(lam.rank)
-        )
-        return cls(lam, lam, b, ex, frame)
+        return cls(lam, lam, b, ex, _unit_frame(lam))
 
     @property
     def n(self) -> int:
         return self.ambient.rank
 
     def is_initial(self) -> bool:
-        if self.lam != self.ambient:
-            return False
-        for j, f in enumerate(self.frame):
-            mono = TorusElement.monomial(
-                self.ambient, tuple(1 if k == j else 0 for k in range(self.n))
-            )
-            if f != mono:
-                return False
-        return True
+        return self.lam == self.ambient and self.frame == _unit_frame(self.ambient)
 
     def pi_b(self) -> list[list[int]]:
         """The exchangeable square part of B."""
@@ -117,8 +119,7 @@ class QuantumSeed:
         """Verify Lambda B = D iota; return {exchangeable index: D entry}."""
         d = {}
         for c, j in enumerate(self.ex):
-            for k in range(self.n):
-                entry = sum(self.lam.matrix[k][l] * self.b[l][c] for l in range(self.n))
+            for k, entry in enumerate(self.lam.act([row[c] for row in self.b])):
                 if k == j:
                     if entry <= 0:
                         raise CompatibilityError(
@@ -127,10 +128,7 @@ class QuantumSeed:
                         )
                     d[j] = entry
                 elif entry != 0:
-                    raise CompatibilityError(
-                        f"(Lambda B)[{k}][{c}] = {entry}, expected 0",
-                        entry=(k, c),
-                    )
+                    raise _expected_zero(k, c, entry)
         return d
 
     # -- monomials in the frame -------------------------------------------
@@ -158,24 +156,24 @@ class QuantumSeed:
         if i not in self.ex:
             raise ValueError(f"index {i} is not exchangeable")
         col = self.ex.index(i)
-        bcol = [self.b[k][col] for k in range(self.n)]
+        bcol = [row[col] for row in self.b]
+        lam_b = self.lam.act(bcol)
+        for j, entry in enumerate(lam_b):
+            if entry and j != i:
+                raise _expected_zero(j, col, entry)
         p = tuple(max(v, 0) for v in bcol)
         m = tuple(max(-v, 0) for v in bcol)
         # Lambda' = E^T Lambda E (Berenstein-Zelevinsky): X'_i quasi-commutes
-        # with X_j as Lambda(m - e_i, e_j), provided (Lambda B)[j][col] = 0.
-        m_ei = tuple(v - (k == i) for k, v in enumerate(m))
+        # with X_j as Lambda(m - e_i, e_j), since (Lambda B)[j][col] = 0.
+        lam_m_ei = self.lam.act(v - (k == i) for k, v in enumerate(m))
         newlam = [list(row) for row in self.lam.matrix]
         for j in range(self.n):
-            if j == i:
-                continue
-            if entry := self.lam.row_pairing(j, bcol):
-                raise CompatibilityError(
-                    f"(Lambda B)[{j}][{col}] = {entry}, expected 0", entry=(j, col)
-                )
-            newlam[j][i] = self.lam.row_pairing(j, m_ei)
-            newlam[i][j] = -newlam[j][i]
-        numer = self.frame_monomial(p).shift(self.lam.row_pairing(i, p))
-        numer = numer + self.frame_monomial(m).shift(self.lam.row_pairing(i, m))
+            if j != i:
+                newlam[j][i] = lam_m_ei[j]
+                newlam[i][j] = -lam_m_ei[j]
+        # Entry i of Lambda m equals that of Lambda(m - e_i), and p = m + bcol.
+        numer = self.frame_monomial(p).shift(lam_m_ei[i] + lam_b[i])
+        numer = numer + self.frame_monomial(m).shift(lam_m_ei[i])
         xprime = numer.exact_divide_left(self.frame[i])
         frame = self.frame[:i] + (xprime,) + self.frame[i + 1 :]
         newb = _mutate_columns(self.b, i, col)
@@ -282,10 +280,9 @@ def upper_membership(x: TorusElement, seed: QuantumSeed) -> bool:
     """Test x against the initial torus and its N one-step mutations.
 
     For each exchangeable i and m > 0, the layer of x at -m (its terms
-    whose exponent at i is -m, which is M^(-m e_i) times the layer that
-    ``collect_on_index(i)`` returns at -m) must be left-divisible by the
-    m-th power of the mutated variable X'_i, read from seed.xprime(i),
-    which builds every X'_i on first use and keeps them on the seed.
+    whose exponent at i is -m) must be left-divisible by the m-th power
+    of the mutated variable X'_i, read from seed.xprime(i), which builds
+    every X'_i on first use and keeps them on the seed.
     """
     if x.form != seed.ambient:
         raise ValueError("element does not live in the seed's ambient torus")
@@ -319,7 +316,7 @@ def enumerate_seeds(seed: QuantumSeed, max_seeds: int = 64, max_depth: int = 16)
     def key(s: QuantumSeed):
         return frozenset(f.fingerprint() for f in s.frame)
 
-    seen = {key(seed): seed}
+    seen = {key(seed)}
     out = [seed]
     if max_seeds <= 1:
         return out, bool(seed.ex)
@@ -337,7 +334,7 @@ def enumerate_seeds(seed: QuantumSeed, max_seeds: int = 64, max_depth: int = 16)
             k = key(t)
             if k in seen:
                 continue
-            seen[k] = t
+            seen.add(k)
             out.append(t)
             if len(out) >= max_seeds:
                 return out, True

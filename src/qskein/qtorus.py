@@ -5,8 +5,10 @@ with M^a * M^b = v^(L(a,b)) M^(a+b) for a skew-symmetric integer form L.
 (In q-units the twist is q^(L(a,b)/2); v-exponents stay integral.)
 
 An element is a ``qcoeff.LinearCombination`` of monomials M[a] in its
-form's torus; this module adds the twisted product, collection on an
-index, left division and JSON.
+form's torus; this module adds the twisted product, left division and
+JSON.  ``SkewForm.act`` computes L beta, summed over the nonzero entries
+of beta; ``pairing`` and the compatibility check and mutation of
+quantum seeds read L through it.
 """
 
 from __future__ import annotations
@@ -46,15 +48,17 @@ class SkewForm:
         return len(self.matrix)
 
     def pairing(self, alpha, beta) -> int:
-        return sum(
-            ai * sum(r * bj for r, bj in zip(row, beta))
-            for ai, row in zip(alpha, self.matrix)
-            if ai
-        )
+        """L(alpha, beta), alpha dotted with L beta."""
+        return sum(map(operator.mul, alpha, self.act(beta)))
 
-    def row_pairing(self, i: int, beta) -> int:
-        """L(e_i, beta)."""
-        return sum(r * bj for r, bj in zip(self.matrix[i], beta))
+    def act(self, beta) -> list[int]:
+        """L beta, whose entry k is L(e_k, beta), summed over the nonzero
+        entries of beta: column l of a skew matrix is minus its row l."""
+        out = [0] * len(self.matrix)
+        for row, b in zip(self.matrix, beta):
+            if b:
+                out = [o - r * b for o, r in zip(out, row)]
+        return out
 
     def __eq__(self, other) -> bool:
         return isinstance(other, SkewForm) and self.matrix == other.matrix
@@ -129,24 +133,7 @@ class TorusElement(LinearCombination):
             return self
         return self._like({a: coeff_shift(c, k) for a, c in self._terms.items()})
 
-    # -- collection and division -----------------------------------------
-
-    def collect_on_index(self, i: int) -> dict[int, TorusElement]:
-        """Write self = sum_k M^(k e_i) * y_k with y_k free of index i.
-
-        Returns {k: y_k}, omitting zero layers.  Left collection: the
-        power of M^(e_i) is pulled out on the left.
-        """
-        layers: dict[int, dict] = {}
-        row = self.form.matrix[i]
-        for alpha, c in self._terms.items():
-            k = alpha[i]
-            rest = alpha[:i] + (0,) + alpha[i + 1 :]
-            if k:
-                s = -k * sum(r * aj for r, aj in zip(row, alpha))
-                c = coeff_shift(c, s) if s else c
-            layers.setdefault(k, {})[rest] = c
-        return {k: self._like(t) for k, t in layers.items()}
+    # -- division -------------------------------------------------------
 
     def exact_divide_left(self, divisor: TorusElement) -> TorusElement:
         """Return w with self == divisor * w, or raise DivisionFailure."""
@@ -184,16 +171,6 @@ class TorusElement(LinearCombination):
             for key, c in piece._terms.items():
                 coeff_acc(rem, key, c)
         return self._like(out)
-
-    def is_laurent_in_sublattice(self, allowed_negative) -> bool:
-        """True when negative exponents occur only at the allowed indices."""
-        allowed = set(allowed_negative)
-        return all(
-            x >= 0
-            for alpha in self._terms
-            for j, x in enumerate(alpha)
-            if j not in allowed
-        )
 
     # -- serialization -----------------------------------------------------
 

@@ -154,6 +154,16 @@ def model():
     return AnnulusModel(bound=6)
 
 
+class TestArgumentChecks:
+    def test_bound_must_be_positive(self):
+        with pytest.raises(ValueError, match="^bound must be at least 1$"):
+            AnnulusModel(bound=0)
+
+    def test_identity_range_must_fit_the_bound(self):
+        with pytest.raises(ValueError, match=r"^range 6 needs cache bound 9, have 8$"):
+            AnnulusModel(bound=8).verify_identities(irange=6)
+
+
 class TestSeedData:
     def test_matrices(self, model):
         assert model.seed.ex == (2, 3)

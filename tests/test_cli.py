@@ -351,6 +351,68 @@ class TestSurface:
         assert err.startswith("input error: --surface: arcs disagree with the fans")
 
 
+class TestArgumentErrors:
+    """Option combinations and values the verbs reject before any work."""
+
+    TORUS_2 = json.dumps(TorusElement.monomial(SkewForm([[0, 1], [-1, 0]]), (1, 0)).to_json())
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["seed", "check"], "provide --preset or --state"),
+            (
+                ["skein", "product", "--n", "4", "--word", "[[1,3]]", "--x", "[[1,3]]"],
+                "use either --word or --x/--y, not both",
+            ),
+            (
+                ["skein", "mu", "--n", "5", "--x", "[[2,4]]", "--y", "[[1,3]]", "--delta", FAN5],
+                "use either --y or --delta, not both",
+            ),
+            (["skein", "mu", "--n", "5", "--x", "[[2,4]]"], "provide --y or --delta"),
+            (
+                ["seed", "member", "--preset", "pentagon", "--element", TORUS_2],
+                "--element: element and seed use different skew forms",
+            ),
+            (["surface", "build", "--kind", "disc"], "--points is required for a disc"),
+            (["surface", "build", "--kind", "annulus", "--p", "0"], "--p and --q must be at least 1"),
+            (["surface", "build", "--kind", "annulus", "--q", "0"], "--p and --q must be at least 1"),
+            (["annulus", "verify", "--range", "-1"], "--range must be nonnegative"),
+        ],
+    )
+    def test_exits_2_with_its_message(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (2, "", f"input error: {message}\n")
+
+    def test_matrices_text_mode_is_indented_json(self, capsys):
+        code, disc_json, _ = run_cli(capsys, "--json", "surface", "build", "--kind", "disc", "--points", "5")
+        assert code == 0
+        code, text, _ = run_cli(capsys, "surface", "matrices", "--surface", disc_json)
+        assert code == 0
+        _, one_line, _ = run_cli(capsys, "--json", "surface", "matrices", "--surface", disc_json)
+        assert text == json.dumps(json.loads(one_line), indent=2, sort_keys=True) + "\n"
+        assert text.startswith('{\n  "b": [')
+
+    def test_text_mode_builds_no_json(self, capsys, monkeypatch):
+        def unread(self):
+            raise AssertionError("JSON built in text mode")
+
+        monkeypatch.setattr(QuantumSeed, "to_json", unread)
+        monkeypatch.setattr(TorusElement, "to_json", unread)
+        code, out, _ = run_cli(capsys, "seed", "enumerate", "--preset", "pentagon")
+        assert (code, out) == (0, "5 seed(s); truncated: false\n")
+        code, out, _ = run_cli(capsys, "seed", "mutate", "--preset", "pentagon", "--at", "1")
+        assert code == 0
+        assert out.startswith("seed: rank 7, exchangeable [1, 2]\n")
+
+    def test_element_read_from_a_file(self, capsys, tmp_path):
+        path = tmp_path / "x.json"
+        path.write_text("[[2,4]]", encoding="utf-8")
+        argv = ["--json", "skein", "expand", "--n", "5", "--delta", FAN5, "--x"]
+        code, from_file, _ = run_cli(capsys, *argv, f"@{path}")
+        assert code == 0
+        assert (0, from_file, "") == run_cli(capsys, *argv, "[[2,4]]")
+
+
 class TestVerifyVerbs:
     def test_annulus_verify(self, capsys):
         code, out, _ = run_cli(capsys, "--json", "annulus", "verify", "--range", "2")

@@ -1,6 +1,7 @@
 """Coefficient ring: integer Laurent polynomials in v = q^(1/2), and the shared element core."""
 
 import copy
+import re
 
 import pytest
 from hypothesis import given
@@ -211,6 +212,55 @@ def element_oracle(x) -> str:
     return " + ".join(f"({render_oracle(c)})*{x._key_text(k)}" for k, c in x.terms())
 
 
+def parse_recounting(text):
+    """parse as first written: a sign splits terms unless the parentheses
+    opened before it, recounted over the whole prefix, are still open."""
+    s = text.strip()
+    if not s:
+        raise ValueError("empty coefficient string")
+    if s == "0":
+        return QCoeff.zero()
+    pieces = []
+    sign, buf = 1, []
+    for i, ch in enumerate(s):
+        inside = s.count("(", 0, i) > s.count(")", 0, i)
+        if ch in "+-" and (i == 0 or s[i - 1] not in "^(/e*" and not inside):
+            if buf and "".join(buf).strip():
+                pieces.append((sign, "".join(buf)))
+                buf = []
+                sign = 1
+            sign *= -1 if ch == "-" else 1
+        else:
+            buf.append(ch)
+    if buf and "".join(buf).strip():
+        pieces.append((sign, "".join(buf)))
+    if not pieces:
+        raise ValueError(f"cannot parse coefficient: {text!r}")
+    terms = {}
+    for sgn, piece in pieces:
+        m = qskein.qcoeff._TERM_RE.match(piece)
+        if not m or (m.group("coeff") is None and m.group("q") is None):
+            raise ValueError(f"cannot parse coefficient term: {piece!r}")
+        c = int(m.group("coeff")) if m.group("coeff") else 1
+        if m.group("q") is None:
+            k = 0
+        elif m.group("num") is not None:
+            k = int(m.group("num"))
+        elif m.group("intexp") is not None:
+            k = 2 * int(m.group("intexp"))
+        else:
+            k = 2
+        terms[k] = terms.get(k, 0) + sgn * c
+    return QCoeff(terms)
+
+
+def outcome(f, *args):
+    try:
+        return f(*args)
+    except ValueError as exc:
+        return "raised", str(exc)
+
+
 class TestRendering:
     def test_known_renders(self):
         assert render(QCoeff.zero()) == "0"
@@ -221,6 +271,25 @@ class TestRendering:
 
     @given(coeffs)
     def test_parse_render_round_trip(self, a):
+        assert parse(render(a)) == a
+
+    @pytest.mark.parametrize("text", ["", "   "])
+    def test_empty_coefficient_string(self, text):
+        with pytest.raises(ValueError, match="^empty coefficient string$"):
+            parse(text)
+
+    @pytest.mark.parametrize("text", ["+", " - ", "+-"])
+    def test_signs_alone_are_not_a_coefficient(self, text):
+        with pytest.raises(ValueError, match=f"^cannot parse coefficient: {re.escape(repr(text))}$"):
+            parse(text)
+
+    @given(st.one_of(st.text(alphabet="+-()q^/*12 ", max_size=16), coeffs.map(render)))
+    def test_parse_matches_the_prefix_recounting_split(self, text):
+        expected = outcome(parse_recounting, text)
+        assert outcome(parse, text) == expected
+
+    def test_long_coefficient_round_trip(self):
+        a = QCoeff({k: (k % 7 - 3) or 5 for k in range(-300, 300, 3)})
         assert parse(render(a)) == a
 
     @given(render_coeffs)

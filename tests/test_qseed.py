@@ -1,8 +1,11 @@
 """Quantum seeds: mutation, compatibility, freezing, membership."""
 
+import re
 from collections import deque
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qskein import disc, qseed
 from qskein import surface as surf
@@ -54,6 +57,54 @@ class TestConstruction:
         frame[0] = TorusElement.zero(seed.ambient)
         with pytest.raises(ValueError):
             QuantumSeed(seed.ambient, seed.lam, seed.b, seed.ex, frame)
+
+
+class TestConstructorChecks:
+    LAM = SkewForm([[0, 1], [-1, 0]])
+    OTHER = SkewForm([[0, 2], [-2, 0]])
+
+    def frame(self, form=LAM):
+        return QuantumSeed.initial(form, [[0], [1]], (0,)).frame
+
+    @pytest.mark.parametrize(
+        "lam, b, ex, message",
+        [
+            (SkewForm([[0]]), [[0], [1]], (0,), "lambda matrix rank differs from ambient torus rank"),
+            (LAM, [[0, 0], [0, 0]], (1, 0), "exchangeable indices must be sorted and distinct"),
+            (LAM, [[0, 0], [0, 0]], (0, 0), "exchangeable indices must be sorted and distinct"),
+            (LAM, [[0], [1]], (2,), "exchangeable index out of range"),
+            (LAM, [[0], [1]], (-1,), "exchangeable index out of range"),
+            (LAM, [[0, 1], [1]], (0,), "expected rows of length 1, got 2"),
+            (LAM, [[0]], (0,), "exchange matrix needs 2 rows, got 1"),
+            (LAM, [[1], [0]], (0,), "exchangeable part of B is not skew at (0,0)"),
+        ],
+    )
+    def test_rejects_matrices_and_indices(self, lam, b, ex, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            QuantumSeed(self.LAM, lam, b, ex, self.frame())
+
+    def test_rejects_frames(self):
+        cases = [
+            (self.frame()[:1], "frame needs 2 variables, got 1"),
+            (self.frame(self.OTHER), "frame variables must live in the ambient torus"),
+            ((self.frame()[0], "M[0, 1]"), "frame variables must live in the ambient torus"),
+            ((self.frame()[0], TorusElement.zero(self.LAM)), "frame variables must be nonzero"),
+        ]
+        for frame, message in cases:
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                QuantumSeed(self.LAM, self.LAM, [[0], [1]], (0,), frame)
+
+    def test_frame_monomial_rejects_a_wrong_length(self, pentagon):
+        with pytest.raises(ValueError, match="^exponent vector has wrong length$"):
+            pentagon.frame_monomial((1, 0))
+
+    def test_membership_rejects_a_foreign_torus_and_a_mutated_seed(self, pentagon):
+        foreign = TorusElement.monomial(self.LAM, (1, 0))
+        message = "^element does not live in the seed's ambient torus$"
+        with pytest.raises(ValueError, match=message):
+            qseed.upper_membership(foreign, pentagon)
+        with pytest.raises(ValueError, match="^membership is tested against the initial seed$"):
+            qseed.upper_membership(pentagon.frame[0], pentagon.mutate(1))
 
 
 class TestCompatibility:
@@ -146,6 +197,128 @@ class TestMutation:
         assert info.value.entry == (1, 0)
 
 
+def dense_check_compatibility(seed):
+    """check_compatibility as first written: each (Lambda B) entry a dense sum."""
+    d = {}
+    for c, j in enumerate(seed.ex):
+        for k in range(seed.n):
+            entry = sum(seed.lam.matrix[k][l] * seed.b[l][c] for l in range(seed.n))
+            if k == j:
+                if entry <= 0:
+                    raise CompatibilityError(
+                        f"(Lambda B)[{k}][{c}] = {entry} is not positive", entry=(k, c)
+                    )
+                d[j] = entry
+            elif entry != 0:
+                raise CompatibilityError(
+                    f"(Lambda B)[{k}][{c}] = {entry}, expected 0", entry=(k, c)
+                )
+    return d
+
+
+def dense_mutate(seed, i):
+    """Lambda' and X'_i as mutate first computed them, each pairing with
+    Lambda a dense row sum."""
+    col = seed.ex.index(i)
+    bcol = [seed.b[k][col] for k in range(seed.n)]
+    p = tuple(max(v, 0) for v in bcol)
+    m = tuple(max(-v, 0) for v in bcol)
+    m_ei = tuple(v - (k == i) for k, v in enumerate(m))
+
+    def row_pairing(j, beta):
+        return sum(r * b for r, b in zip(seed.lam.matrix[j], beta))
+
+    newlam = [list(row) for row in seed.lam.matrix]
+    for j in range(seed.n):
+        if j == i:
+            continue
+        if entry := row_pairing(j, bcol):
+            raise CompatibilityError(
+                f"(Lambda B)[{j}][{col}] = {entry}, expected 0", entry=(j, col)
+            )
+        newlam[j][i] = row_pairing(j, m_ei)
+        newlam[i][j] = -newlam[j][i]
+    numer = seed.frame_monomial(p).shift(row_pairing(i, p))
+    numer = numer + seed.frame_monomial(m).shift(row_pairing(i, m))
+    return SkewForm(newlam), numer.exact_divide_left(seed.frame[i])
+
+
+def mutated_lambda_and_variable(seed, i):
+    t = seed.mutate(i)
+    return t.lam, t.frame[i]
+
+
+def outcome(f, *args):
+    """f(*args), or the message and entry of the CompatibilityError it raises."""
+    try:
+        return f(*args)
+    except CompatibilityError as exc:
+        return "raised", str(exc), exc.entry
+
+
+def assert_matches_dense(seed):
+    assert outcome(QuantumSeed.check_compatibility, seed) == outcome(
+        dense_check_compatibility, seed
+    )
+    for i in seed.ex:
+        assert outcome(mutated_lambda_and_variable, seed, i) == outcome(dense_mutate, seed, i)
+
+
+@st.composite
+def small_initial_seeds(draw):
+    """Initial seeds of rank <= 5 with any skew Lambda and B, compatible or not."""
+    n = draw(st.integers(1, 5))
+    lam = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            lam[i][j] = draw(st.integers(-2, 2))
+            lam[j][i] = -lam[i][j]
+    ex = sorted(draw(st.sets(st.integers(0, n - 1), min_size=1)))
+    b = [[draw(st.integers(-2, 2)) for _ in ex] for _ in range(n)]
+    for r, i in enumerate(ex):
+        b[i][r] = 0
+        for c in range(r + 1, len(ex)):
+            b[ex[c]][r] = -b[i][c]
+    return QuantumSeed.initial(SkewForm(lam), b, ex)
+
+
+class TestSparseLambdaAction:
+    """check_compatibility and mutate read Lambda B through SkewForm.act; the
+    dense sums they replaced are the oracle, down to the first failing entry."""
+
+    def test_every_disc_triangulation_up_to_eight_points(self):
+        for n in range(3, 9):
+            for delta in disc.enumerate_triangulations(n):
+                assert_matches_dense(disc.triangulation_seed(n, delta))
+
+    def test_annulus_seeds(self):
+        seeds, _ = qseed.enumerate_seeds(start_seed("annulus"), max_seeds=12)
+        for seed in seeds:
+            assert_matches_dense(seed)
+
+    @pytest.mark.parametrize("n", range(4, 21))
+    def test_disc_preset_and_its_mutations(self, n):
+        seed = start_seed(f"disc:{n}")
+        assert_matches_dense(seed)
+        for i in seed.ex:
+            assert_matches_dense(seed.mutate(i))
+
+    def test_incompatible_seeds(self):
+        seeds = [
+            incompatible_seed(),
+            QuantumSeed.initial(SkewForm([[0, 1], [-1, 0]]), [[0], [-1]], (0,)),
+            QuantumSeed.initial(SkewForm([[0, 0], [0, 0]]), [[0, 1], [-1, 0]], (0, 1)),
+        ]
+        for seed in seeds:
+            assert outcome(dense_check_compatibility, seed)[0] == "raised"
+            assert_matches_dense(seed)
+
+    @given(small_initial_seeds())
+    @settings(max_examples=300, deadline=None)
+    def test_random_small_seeds(self, seed):
+        assert_matches_dense(seed)
+
+
 class TestFrameMonomial:
     def test_single_index(self, pentagon):
         gamma = tuple(1 if i == 1 else 0 for i in range(7))
@@ -205,12 +378,23 @@ class TestMembership:
         assert qseed.upper_membership(TorusElement.monomial(pentagon.ambient, alpha), pentagon)
 
 
+def collect_on_index(x, i):
+    """{k: y_k} with x = sum_k M^(k e_i) * y_k and y_k free of index i."""
+    layers = {}
+    row = x.form.matrix[i]
+    for alpha, c in x._terms.items():
+        k = alpha[i]
+        s = -k * sum(r * a for r, a in zip(row, alpha))
+        layers.setdefault(k, {})[alpha[:i] + (0,) + alpha[i + 1 :]] = QCoeff(c).shift(s)._terms
+    return {k: TorusElement(x.form, t) for k, t in layers.items()}
+
+
 def membership_uncached(x, seed):
     """upper_membership as first written: X'_i rebuilt by mutate on every call."""
     n = seed.n
     for i in seed.ex:
         xprime = seed.mutate(i).frame[i]
-        for k, y in x.collect_on_index(i).items():
+        for k, y in collect_on_index(x, i).items():
             if k >= 0:
                 continue
             layer = TorusElement.monomial(

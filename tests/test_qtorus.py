@@ -41,7 +41,15 @@ class TestForm:
     def test_pairing(self):
         assert FORM.pairing((1, 0, 0), (0, 1, 0)) == 1
         assert FORM.pairing((0, 1, 0), (1, 0, 0)) == -1
-        assert FORM.row_pairing(2, (1, 1, 0)) == 2 - 3
+        assert FORM.act((1, 1, 0))[2] == 2 - 3
+
+    @given(exponents)
+    def test_act_is_the_dense_matrix_product(self, beta):
+        dense = [sum(r * b for r, b in zip(row, beta)) for row in FORM.matrix]
+        assert FORM.act(beta) == dense
+        assert FORM.act(iter(beta)) == dense
+        for alpha in [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, -2, 1)]:
+            assert sum(a * x for a, x in zip(alpha, dense)) == FORM.pairing(alpha, beta)
 
 
 class TestConstructor:
@@ -126,21 +134,6 @@ class TestBar:
     @settings(max_examples=60)
     def test_involution(self, x):
         assert x.bar().bar() == x
-
-
-class TestCollect:
-    @given(elements)
-    @settings(max_examples=60)
-    def test_reassembly(self, x):
-        for i in range(3):
-            layers = x.collect_on_index(i)
-            e_i = tuple(1 if j == i else 0 for j in range(3))
-            total = TorusElement.zero(FORM)
-            for k, y in layers.items():
-                total = total + TorusElement.monomial(FORM, tuple(k * c for c in e_i)) * y
-            assert total == x
-            for y in layers.values():
-                assert all(a[i] == 0 for a in y.support())
 
 
 class TestDivision:
@@ -242,13 +235,6 @@ class TestDivisionOracle:
                 num.exact_divide_left(d)
         else:
             assert num.exact_divide_left(d) == expected
-
-
-class TestLattice:
-    def test_is_laurent_in_sublattice(self):
-        x = mono((1, -2, 0))
-        assert x.is_laurent_in_sublattice({1})
-        assert not x.is_laurent_in_sublattice(set())
 
 
 class TestJson:
