@@ -6,7 +6,8 @@ dicts mapping exponent tuples to coefficient dicts.  Every exact identity
 in the package is computed through these functions, and every one of them
 takes and returns these dicts: ``coeff_add``, ``coeff_neg``, ``coeff_mul``
 and ``coeff_shift`` on coefficients, ``coeff_acc`` to sum a coefficient
-into a dict of them, and ``torus_mul``.
+into a dict of them, and ``torus_mul``, whose two paths both twist through
+``act``: the one action of a skew form Lambda on an exponent vector.
 
 A coefficient dict, once stored as a term of an element or handed to
 ``coeff_acc``, is never mutated: every function here returns a new dict,
@@ -106,6 +107,16 @@ def coeff_shift(a: dict, k: int) -> dict:
     return {ke + k: c for ke, c in a.items()}
 
 
+def act(lam: tuple, v) -> list[int]:
+    """Lambda v for a skew matrix lam, entry k being Lambda(e_k, v), summed
+    over the nonzero entries of v: column l of lam is minus its row l."""
+    out = [0] * len(lam)
+    for row, b in zip(lam, v):
+        if b:
+            out = [o - r * b for o, r in zip(out, row)]
+    return out
+
+
 def torus_mul(xterms: dict, yterms: dict, lam: tuple) -> dict:
     """Multiply two torus elements: M^a * M^b = v^(lam(a,b)) * M^(a+b)."""
     x_one = all(len(c) == 1 for c in xterms.values())
@@ -130,7 +141,7 @@ def torus_mul(xterms: dict, yterms: dict, lam: tuple) -> dict:
     acc: dict = {}
     for beta, cb in yterms.items():
         mb, pb = pack(cb)
-        lamb = [sum(map(mul, row, beta)) for row in lam]
+        lamb = act(lam, beta)
         for alpha, ma, pa in xs:
             base = ma + mb + sum(map(mul, alpha, lamb))
             key = (tuple(map(add, alpha, beta)), base % g)
@@ -164,7 +175,7 @@ def _shift_scale_mul(xterms: dict, yterms: dict, lam: tuple, x_one: bool) -> dic
     """torus_mul when every coefficient of x (x_one) or else of y is one-term."""
     out: dict = {}
     for beta, cb in yterms.items():
-        lamb = [sum(map(mul, row, beta)) for row in lam]
+        lamb = act(lam, beta)
         for alpha, ca in xterms.items():
             one, many = (ca, cb) if x_one else (cb, ca)
             [(e, c)] = one.items()

@@ -38,11 +38,11 @@ from __future__ import annotations
 import functools
 import operator
 import random
-from operator import add, mul, sub
+from operator import add, mul
 from typing import Iterable
 
 from . import payload, surface
-from ._kernels import coeff_acc, coeff_mul, coeff_shift
+from ._kernels import act, coeff_acc, coeff_mul, coeff_shift, torus_mul
 from .qcoeff import LinearCombination, QCoeff, render_raw
 from .qtorus import SkewForm, TorusElement
 
@@ -611,19 +611,11 @@ def _triangulation(n: int, delta: tuple[tuple, ...]):
     form = triangulation_form(n, arcs)
 
     def image(c: Chord) -> TorusElement:
-        """M^(-mu) reduce(M^mu c), with mu the arcs that c crosses.
-
-        M^(-mu) M^alpha is v^(Lambda(-mu, alpha)) M^(alpha - mu), applied
-        term by term.
-        """
-        m = [int(crosses(a, c)) for a in arcs]
-        denom_key = tuple(sorted((a, 1) for a, k in zip(arcs, m) if k))
+        """M^(-mu) reduce(M^mu c), with mu the arcs that c crosses; the
+        left factor M^(-mu) is a one-term torus product."""
+        mu = [int(crosses(a, c)) for a in arcs]
+        denom_key = tuple(sorted((a, 1) for a, k in zip(arcs, mu) if k))
         numer = product(DiscElement._raw(n, {denom_key: {0: 1}}), DiscElement.basis(n, [c]))
-        # row[j] = Lambda(-mu, e_j), summed over the arcs mu crosses.
-        row = [0] * len(arcs)
-        for i, k in enumerate(m):
-            if k:
-                row = list(map(sub, row, form.matrix[i]))
         terms = {}
         for key, coef in numer._terms.items():
             alpha = [0] * len(arcs)
@@ -633,9 +625,9 @@ def _triangulation(n: int, delta: tuple[tuple, ...]):
                         f"product is not supported on the triangulation: chord {ch} appears"
                     )
                 alpha[index[ch]] = w
-            s = sum(map(mul, row, alpha))
-            terms[tuple(map(sub, alpha, m))] = coeff_shift(coef, s) if s else coef
-        return TorusElement._raw(form, terms)
+            terms[tuple(alpha)] = coef
+        inverse = {tuple(-k for k in mu): {0: 1}}
+        return TorusElement._raw(form, torus_mul(inverse, terms, form.matrix))
 
     return arcs, index, form, _Lazy(image)
 
@@ -655,13 +647,13 @@ def expand_laurent(x: DiscElement, delta) -> TorusElement:
 
         v^(-sum wa wc L(a, c) - sum_(c < c') wc wc' L(c, c')) M^alpha T_c...,
 
-    T_c the images.  The unit (the empty multiset) maps to M^0.
+    T_c the images.  A multiset of arcs alone, the unit included, maps to
+    M^alpha with no twist.
     """
     n = x.n
     arcs, index, form, images = _triangulation(n, tuple(map(tuple, delta)))
     t = _table(n)
     m = t.m
-    unit = {(0,) * len(arcs): {0: 1}}
     out: dict[tuple, dict] = {}
     for key, c in x._terms.items():
         alpha = [0] * len(arcs)
@@ -677,14 +669,15 @@ def expand_laurent(x: DiscElement, delta) -> TorusElement:
             else:
                 alpha[i] = w
                 arc_ids.append((ch[0] * m + ch[1], w))
+        if torus is None:
+            coeff_acc(out, tuple(alpha), c)
+            continue
         twist = -_pairing(t, arc_ids, other_ids) - _pairing(t, other_ids)
-        # row[j] = Lambda(alpha, e_j): M^alpha M^beta = v^(row . beta) M^(alpha + beta).
-        row = [0] * len(arcs)
-        for i, w in enumerate(alpha):
-            if w:
-                row = [r + w * l for r, l in zip(row, form.matrix[i])]
-        for beta, cb in (unit if torus is None else torus._terms).items():
-            piece = coeff_shift(coeff_mul(c, cb), twist + sum(map(mul, row, beta)))
+        # M^alpha M^beta = v^(Lambda(alpha, beta)) M^(alpha + beta), and
+        # Lambda(alpha, beta) = -beta . (Lambda alpha).
+        lam_alpha = act(form.matrix, alpha)
+        for beta, cb in torus._terms.items():
+            piece = coeff_shift(coeff_mul(c, cb), twist - sum(map(mul, lam_alpha, beta)))
             coeff_acc(out, tuple(map(add, alpha, beta)), piece)
     return TorusElement._raw(form, out)
 

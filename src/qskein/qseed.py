@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import operator
 from collections import deque
+from itertools import combinations
 
 from . import payload
 from .qcoeff import DivisionFailure, QCoeff
@@ -140,14 +141,12 @@ class QuantumSeed:
             raise ValueError("exponent vector has wrong length")
         if any(g < 0 for g in gamma):
             raise ValueError("frame_monomial needs nonnegative exponents")
-        twist = 0
-        for k in range(self.n):
-            for l in range(k + 1, self.n):
-                twist += self.lam.matrix[k][l] * gamma[k] * gamma[l]
+        support = [(k, g) for k, g in enumerate(gamma) if g]
+        lam = self.lam.matrix
+        twist = sum(lam[k][l] * gk * gl for (k, gk), (l, gl) in combinations(support, 2))
         out = TorusElement.monomial(self.ambient, (0,) * self.n, QCoeff.v(-twist))
-        for k in range(self.n):
-            if gamma[k]:
-                out = out * self.frame[k] ** gamma[k]
+        for k, g in support:
+            out = out * self.frame[k] ** g
         return out
 
     # -- mutation -----------------------------------------------------------
@@ -356,20 +355,20 @@ def matrix_mutate(a, i: int) -> list[list[int]]:
 def _mutate_columns(b, i: int, col: int) -> list[list[int]]:
     """Matrix mutation at index i of rows b, whose column col belongs to i.
 
-    Row i and column col change sign; every other entry b[k][c] gains
-    (|b[k][col]| b[i][c] + b[k][col] |b[i][c]|) / 2.
+    Row i and column col change sign; b[k][c] gains |x| y when x = b[k][col]
+    and y = b[i][c] share a sign, so only rows meeting col change elsewhere.
     """
-    out = []
-    for k, row in enumerate(b):
+    out = [list(row) for row in b]
+    out[i] = [-y for y in b[i]]
+    row_i = [(c, y) for c, y in enumerate(b[i]) if y and c != col]
+    for k, row in enumerate(out):
         x = row[col]
-        new = []
-        for c, entry in enumerate(row):
-            if k == i or c == col:
-                new.append(-entry)
-            else:
-                y = b[i][c]
-                new.append(entry + (abs(x) * y + x * abs(y)) // 2)
-        out.append(new)
+        if k == i or not x:
+            continue
+        row[col] = -x
+        for c, y in row_i:
+            if (x > 0) == (y > 0):
+                row[c] += abs(x) * y
     return out
 
 

@@ -6,9 +6,9 @@ with M^a * M^b = v^(L(a,b)) M^(a+b) for a skew-symmetric integer form L.
 
 An element is a ``qcoeff.LinearCombination`` of monomials M[a] in its
 form's torus; this module adds the twisted product, left division and
-JSON.  ``SkewForm.act`` computes L beta, summed over the nonzero entries
-of beta; ``pairing`` and the compatibility check and mutation of
-quantum seeds read L through it.
+JSON.  ``SkewForm.act`` returns ``_kernels.act``, the one action of L on
+an exponent vector: the torus product, ``pairing``, the Laurent map and
+the compatibility check and mutation of quantum seeds all read L there.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from __future__ import annotations
 import operator
 
 from . import payload
-from ._kernels import coeff_acc, coeff_neg, coeff_shift, torus_mul
+from ._kernels import act, coeff_acc, coeff_neg, coeff_shift, torus_mul
 from .qcoeff import (
     DivisionFailure,
     LinearCombination,
@@ -52,13 +52,8 @@ class SkewForm:
         return sum(map(operator.mul, alpha, self.act(beta)))
 
     def act(self, beta) -> list[int]:
-        """L beta, whose entry k is L(e_k, beta), summed over the nonzero
-        entries of beta: column l of a skew matrix is minus its row l."""
-        out = [0] * len(self.matrix)
-        for row, b in zip(self.matrix, beta):
-            if b:
-                out = [o - r * b for o, r in zip(out, row)]
-        return out
+        """L beta, whose entry k is L(e_k, beta)."""
+        return act(self.matrix, beta)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, SkewForm) and self.matrix == other.matrix

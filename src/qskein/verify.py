@@ -14,6 +14,7 @@ which subset runs.
 
 from __future__ import annotations
 
+import functools
 import random
 import time
 from itertools import combinations
@@ -26,10 +27,12 @@ from .qcoeff import QCoeff
 from .qtorus import TorusElement
 
 DiscElement = disc.DiscElement
+# disc.all_chords(n), built once per n for the random draws.
+_chords = functools.cache(disc.all_chords)
 
 
 def _random_skein(rng: random.Random, n: int, max_len: int = 2) -> DiscElement:
-    chords = disc.all_chords(n)
+    chords = _chords(n)
     word = [rng.choice(chords) for _ in range(rng.randint(1, max_len))]
     return disc.reduce_word(n, word)
 
@@ -192,11 +195,7 @@ def check_denominator(rng: random.Random) -> tuple[bool, str]:
                 x = DiscElement.basis(n, [c])
                 mu = disc.mu_delta(n, delta, x)
                 expansion = disc.expand_laurent(x, delta)
-                support = expansion.support()
-                neg = tuple(
-                    max(0, -min(alpha[j] for alpha in support))
-                    for j in range(len(delta))
-                )
+                neg = tuple(max(0, -min(col)) for col in zip(*expansion.support()))
                 if neg != mu:
                     return False, f"n={n}, chord={c}, delta={delta}: {neg} != {mu}"
                 count += 1
@@ -315,7 +314,7 @@ def check_rewriting(rng: random.Random) -> tuple[bool, str]:
         x, y = _random_skein(rng, n), _random_skein(rng, n)
         if disc.product(x, y).bar() != disc.product(y.bar(), x.bar()):
             return False, f"bar law failed at n={n}"
-        basis = DiscElement.basis(n, [rng.choice(disc.all_chords(n))])
+        basis = DiscElement.basis(n, [rng.choice(_chords(n))])
         if basis.bar() != basis:
             return False, f"bar does not fix a basis element at n={n}"
         barred += 1

@@ -1,5 +1,6 @@
 """Quantum seeds: mutation, compatibility, freezing, membership."""
 
+import random
 import re
 from collections import deque
 
@@ -319,7 +320,29 @@ class TestSparseLambdaAction:
         assert_matches_dense(seed)
 
 
+def dense_frame_monomial(seed, gamma):
+    """frame_monomial as first written: the twist summed over all pairs k < l."""
+    twist = 0
+    for k in range(seed.n):
+        for l in range(k + 1, seed.n):
+            twist += seed.lam.matrix[k][l] * gamma[k] * gamma[l]
+    out = TorusElement.monomial(seed.ambient, (0,) * seed.n, QCoeff.v(-twist))
+    for k in range(seed.n):
+        if gamma[k]:
+            out = out * seed.frame[k] ** gamma[k]
+    return out
+
+
 class TestFrameMonomial:
+    @pytest.mark.parametrize("name", ["disc:6", "annulus"])
+    def test_matches_the_dense_twist(self, name):
+        seeds, _ = qseed.enumerate_seeds(start_seed(name), max_seeds=8)
+        rng = random.Random(name)
+        for seed in seeds:
+            for _ in range(6):
+                gamma = [rng.choice((0, 0, 1, 2)) for _ in range(seed.n)]
+                assert seed.frame_monomial(gamma) == dense_frame_monomial(seed, gamma)
+
     def test_single_index(self, pentagon):
         gamma = tuple(1 if i == 1 else 0 for i in range(7))
         assert pentagon.frame_monomial(gamma) == pentagon.frame[1]
@@ -513,6 +536,47 @@ class TestEnumeration:
         assert got_truncated == truncated
 
 
+class TestDivisionFreeFrames:
+    """Frames built by mutation, each a chain of exact divisions, against
+    frames built without dividing: chord expansions on the disc and the
+    three-term recurrence on the annulus."""
+
+    @pytest.mark.parametrize("n", range(4, 9))
+    def test_disc_frames_are_chord_expansions(self, n):
+        fan = tuple(sorted(disc.boundary_chords(n) + [(1, k) for k in range(3, n)]))
+        chords = {}
+        seen = {frozenset(fan)}
+        queue = deque([(fan, disc.triangulation_seed(n, fan))])
+        while queue:
+            delta, seed = queue.popleft()
+            for j, c in enumerate(delta):
+                if c not in chords:
+                    chords[c] = disc.expand_laurent(DiscElement.basis(n, [c]), fan)
+                assert seed.frame[j] == chords[c], (delta, j)
+            for i in seed.ex:
+                flipped, _ = disc.flip_diagonal(n, delta, delta[i])
+                if frozenset(flipped) not in seen:
+                    seen.add(frozenset(flipped))
+                    queue.append((flipped, seed.mutate(i)))
+        assert len(seen) == [2, 5, 14, 42, 132][n - 4]
+
+    def test_annulus_frames_are_the_recurrence(self):
+        assert_annulus_frames_are_the_recurrence(10)
+
+
+def assert_annulus_frames_are_the_recurrence(depth):
+    """The annulus seeds within depth mutations of the start hold exactly
+    the pairs x_k, x_(k+1) of AnnulusModel for k = -depth..depth."""
+    seeds, _ = qseed.enumerate_seeds(start_seed("annulus"), max_seeds=10**6, max_depth=depth)
+    model = AnnulusModel(bound=depth + 1)
+    pairs = {frozenset(s.frame[i].fingerprint() for i in s.ex) for s in seeds}
+    assert len(seeds) == 2 * depth + 1
+    assert pairs == {
+        frozenset((model.x(k).fingerprint(), model.x(k + 1).fingerprint()))
+        for k in range(-depth, depth + 1)
+    }
+
+
 class TestJson:
     def test_round_trip_initial(self, pentagon):
         data = pentagon.to_json()
@@ -533,6 +597,61 @@ class TestJson:
         back = QuantumSeed.from_json(mut.to_json())
         assert back == mut
         assert back.mutate(1) == pentagon
+
+
+def dense_mutate_columns(b, i, col):
+    """_mutate_columns as first written: every entry of B rebuilt."""
+    out = []
+    for k, row in enumerate(b):
+        x = row[col]
+        new = []
+        for c, entry in enumerate(row):
+            if k == i or c == col:
+                new.append(-entry)
+            else:
+                y = b[i][c]
+                new.append(entry + (abs(x) * y + x * abs(y)) // 2)
+        out.append(new)
+    return out
+
+
+@st.composite
+def skew_matrices(draw):
+    n = draw(st.integers(1, 6))
+    a = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            a[i][j] = draw(st.integers(-3, 3))
+            a[j][i] = -a[i][j]
+    return a
+
+
+class TestSparseMatrixMutation:
+    """_mutate_columns touches only the entries mutation changes; the dense
+    rebuild it replaced is the oracle."""
+
+    @given(st.data())
+    @settings(max_examples=300)
+    def test_matches_the_dense_rebuild(self, data):
+        rows = data.draw(st.integers(1, 6))
+        cols = data.draw(st.integers(1, 4))
+        row = st.lists(st.integers(-3, 3), min_size=cols, max_size=cols)
+        b = data.draw(st.lists(row, min_size=rows, max_size=rows))
+        i = data.draw(st.integers(0, rows - 1))
+        col = data.draw(st.integers(0, cols - 1))
+        assert qseed._mutate_columns(b, i, col) == dense_mutate_columns(b, i, col)
+
+    @given(skew_matrices(), st.data())
+    def test_matrix_mutate_matches_the_dense_rebuild(self, a, data):
+        i = data.draw(st.integers(0, len(a) - 1))
+        assert qseed.matrix_mutate(a, i) == dense_mutate_columns(a, i, i)
+
+    @pytest.mark.parametrize("name, cap", [("disc:9", 20), ("annulus", 8)])
+    def test_enumerated_seeds(self, name, cap):
+        seeds, _ = qseed.enumerate_seeds(start_seed(name), max_seeds=cap)
+        for seed in seeds:
+            for col, i in enumerate(seed.ex):
+                assert seed.mutate(i).b == tuple(map(tuple, dense_mutate_columns(seed.b, i, col)))
 
 
 class TestMatrixUtilities:
