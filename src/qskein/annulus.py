@@ -22,14 +22,20 @@ x_2 = mu_(x_0)(seed) and the flip of the underlying surface.
 ``verify_identities`` computes each product that several identities
 share once per pass (a*b, ell*a*b and a*b*ell) or once per i (x_i x_(i+3),
 x_(i+1)^2, which the next i reuses as its x_i^2, and x_(i+1) x_(i+2),
-which the next i reuses as its x_i x_(i+1)).  Every side keeps its
-operands and their order, so no side is taken from another identity's
-claim.  A side equal to the left one is not rendered again: equal
-elements render alike.
+which the next i reuses as its x_i x_(i+1)), and drops each one after
+its last identity.  Every side keeps its operands and their order, so no
+side is taken from another identity's claim.  A sum of operands is built
+in one term dict: each operand's coefficients, shifted by its power of v
+and signed, are summed there through ``coeff_acc``, with no scaled copy
+per operand and no partial sum per "+".  With ``render=False`` the rows
+carry only "name" and "ok", and no element is rendered; with the
+default every row also renders both sides, and a side equal to the left
+one is not rendered again: equal elements render alike.
 """
 
 from __future__ import annotations
 
+from ._kernels import coeff_acc
 from .qcoeff import QCoeff
 from .qtorus import TorusElement
 from .qseed import QuantumSeed, quasi_commutation_exponent, upper_membership
@@ -95,27 +101,42 @@ class AnnulusModel:
             raise ValueError(f"element is not homogeneous: degrees {sorted(degs)}")
         return next(iter(degs))
 
-    def verify_identities(self, irange: int = 5) -> list[dict]:
+    def verify_identities(self, irange: int = 5, render: bool = True) -> list[dict]:
         """Check the annulus relation families for |i| <= irange.
 
-        Returns a report: one entry per identity with both sides
-        rendered.  Failures become report entries, never exceptions.
+        Returns a report: one entry per identity, in a fixed order, with
+        its "name" and "ok".  With ``render`` (the default) every entry
+        also holds both sides as text, "lhs" and "rhs"; without it no
+        element is rendered, for callers that print only names.  Each
+        right side that sums several operands is accumulated in one term
+        dict.  Failures become report entries, never exceptions.
         """
         if irange + 3 > self.bound:
             raise ValueError(
                 f"range {irange} needs cache bound {irange + 3}, have {self.bound}"
             )
-        v = QCoeff.v
+        form = self.form
         report: list[dict] = []
 
         def row(name: str, ok: bool, lhs: str, rhs: str) -> None:
-            report.append({"name": name, "ok": ok, "lhs": lhs, "rhs": rhs})
+            entry = {"name": name, "ok": ok, "lhs": lhs, "rhs": rhs}
+            report.append(entry if render else {"name": name, "ok": ok})
 
         def check(name: str, lhs: TorusElement, rhs: TorusElement) -> None:
             ok = lhs == rhs
-            text = str(lhs)
-            # Equal sides have equal term dicts, hence equal renderings.
-            row(name, ok, text, text if ok else str(rhs))
+            if render:
+                lhs = str(lhs)
+                # Equal sides have equal term dicts, hence equal renderings.
+                rhs = lhs if ok else str(rhs)
+            row(name, ok, lhs, rhs)
+
+        def side(*parts) -> TorusElement:
+            """The sum of sign * v^k * x over parts (x, k, sign), one term dict."""
+            out: dict = {}
+            for x, k, sign in parts:
+                for key, c in x._terms.items():
+                    coeff_acc(out, key, {e + k: sign * n for e, n in c.items()})
+            return TorusElement._raw(form, out)
 
         ell, a, b = self.ell, self.a, self.b
         ab = a * b
@@ -125,49 +146,48 @@ class AnnulusModel:
         xx = None  # x_i^2: the previous i's x_(i+1)^2
         xi_xi1 = None  # x_i x_(i+1): the previous i's x_(i+1) x_(i+2)
         for i in range(-irange, irange + 1):
-            xi = self.x(i)
-            xi1 = self.x(i + 1)
-            xi2 = self.x(i + 2)
-            xi3 = self.x(i + 3)
-            xim = self.x(i - 1)
+            xim, xi, xi1, xi2, xi3 = map(self.x, range(i - 1, i + 4))
             if xx is None:
                 xx = xi * xi
                 xi_xi1 = xi * xi1
-            xi_xi3 = xi * xi3
-            xi1_xi1 = xi1 * xi1
-            xi1_xi2 = xi1 * xi2
             check(
                 f"ell*x_{i} = q*x_{i+1} + q^-1*x_{i-1}",
                 ell * xi,
-                xi1 * v(2) + xim * v(-2),
+                side((xi1, 2, 1), (xim, -2, 1)),
             )
             check(
                 f"x_{i}*x_{i+1} = q^-2*x_{i+1}*x_{i}",
                 xi_xi1,
-                xi1 * xi * v(-4),
+                (xi1 * xi).shift(-4),
             )
+            xi1_xi1 = xi1 * xi1
             check(
                 f"x_{i}*x_{i+2} = a*b + q^-2*x_{i+1}^2",
                 xi * xi2,
-                ab + xi1_xi1 * v(-4),
+                side((ab, 0, 1), (xi1_xi1, -4, 1)),
             )
+            xi_xi3 = xi * xi3
+            xi1_xi2 = xi1 * xi2
             check(
                 f"x_{i}*x_{i+3} = q*ell*a*b + q^-2*x_{i+1}*x_{i+2}",
                 xi_xi3,
-                ell_ab * v(2) + xi1_xi2 * v(-4),
+                side((ell_ab, 2, 1), (xi1_xi2, -4, 1)),
             )
             check(
                 f"(x_{i}*x_{i+1})*ell = q*x_{i}^2 + q^-1*a*b + q^-3*x_{i+1}^2",
                 xi_xi1 * ell,
-                xx * v(2) + ab * v(-2) + xi1_xi1 * v(-6),
+                side((xx, 2, 1), (ab, -2, 1), (xi1_xi1, -6, 1)),
             )
+            # Past their last identity, x_i^2 and x_i x_(i+1) go; the next
+            # i reads x_(i+1)^2 and x_(i+1) x_(i+2) as its own.
+            xx, xi_xi1 = xi1_xi1, xi1_xi2
+            del xi1_xi1
             check(
                 f"a*b*ell = q^-1*x_{i}*x_{i+3} - q^-3*x_{i+1}*x_{i+2}",
                 ab_ell,
-                xi_xi3 * v(-2) - xi1_xi2 * v(-6),
+                side((xi_xi3, -2, 1), (xi1_xi2, -6, -1)),
             )
-            xx, xi_xi1 = xi1_xi1, xi1_xi2
-            del xi_xi3, xi1_xi1, xi1_xi2
+            del xi_xi3, xi1_xi2
             check(f"bar(x_{i}) = x_{i}", xi.bar(), xi)
             try:
                 deg = str(self.grading(xi))

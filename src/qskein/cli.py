@@ -377,7 +377,7 @@ def cmd_annulus_verify(args) -> int:
     if args.range < 0:
         raise InputError("--range must be nonnegative")
     model = AnnulusModel(bound=args.range + 3)
-    results = model.verify_identities(irange=args.range)
+    results = model.verify_identities(irange=args.range, render=args.mode == "json")
     ok = all(r["ok"] for r in results)
     if args.mode == "json":
         _emit(args, lambda: {"ok": ok, "checks": results})

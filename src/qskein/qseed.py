@@ -99,7 +99,7 @@ class QuantumSeed:
         self.b = b
         self.ex = ex
         self.frame = frame
-        self._xprime: dict[int, TorusElement] | None = None
+        self._xprime: dict[int, list[TorusElement]] | None = None
 
     @classmethod
     def initial(cls, lam: SkewForm, b, ex) -> QuantumSeed:
@@ -179,16 +179,26 @@ class QuantumSeed:
         return QuantumSeed(self.ambient, SkewForm(newlam), newb, self.ex, frame)
 
     def xprime(self, i: int) -> TorusElement:
-        """X'_i, the variable mutate(i) puts at index i.
+        """X'_i, the variable mutate(i) puts at index i."""
+        return self.xprime_power(i, 1)
+
+    def xprime_power(self, i: int, m: int) -> TorusElement:
+        """X'_i^m for m >= 1.
 
         The first call builds X'_j for every exchangeable j, so an
-        incompatible seed always raises, and keeps them on the seed.
+        incompatible seed always raises.  Each power, once built, is kept
+        on the seed with all the lower ones.
         """
+        if m < 1:
+            raise ValueError(f"power {m} of X'_{i} is not positive")
         if self._xprime is None:
-            self._xprime = {j: self.mutate(j).frame[j] for j in self.ex}
+            self._xprime = {j: [self.mutate(j).frame[j]] for j in self.ex}
         if i not in self._xprime:
             raise ValueError(f"index {i} is not exchangeable")
-        return self._xprime[i]
+        powers = self._xprime[i]
+        while len(powers) < m:
+            powers.append(powers[-1] * powers[0])
+        return powers[m - 1]
 
     def freeze(self, drop) -> QuantumSeed:
         drop = set(drop)
@@ -280,8 +290,8 @@ def upper_membership(x: TorusElement, seed: QuantumSeed) -> bool:
 
     For each exchangeable i and m > 0, the layer of x at -m (its terms
     whose exponent at i is -m) must be left-divisible by the m-th power
-    of the mutated variable X'_i, read from seed.xprime(i), which builds
-    every X'_i on first use and keeps them on the seed.
+    of the mutated variable X'_i, read from seed.xprime_power(i, m), which
+    builds every X'_i on first use and keeps each power on the seed.
     """
     if x.form != seed.ambient:
         raise ValueError("element does not live in the seed's ambient torus")
@@ -290,14 +300,14 @@ def upper_membership(x: TorusElement, seed: QuantumSeed) -> bool:
     if x.is_zero():
         return True
     for i in seed.ex:
-        xprime = seed.xprime(i)
+        seed.xprime(i)  # an incompatible seed raises, negative layer or not
         layers: dict[int, dict] = {}
         for alpha, c in x._terms.items():
             if alpha[i] < 0:
                 layers.setdefault(alpha[i], {})[alpha] = c
         for k, terms in layers.items():
             try:
-                x._like(terms).exact_divide_left(xprime ** (-k))
+                x._like(terms).exact_divide_left(seed.xprime_power(i, -k))
             except DivisionFailure:
                 return False
     return True

@@ -149,6 +149,10 @@ class TorusElement(LinearCombination):
             hi[j] = max(xs) - max(ds)
             if lo[j] > hi[j]:
                 raise DivisionFailure("exponent spans rule out a quotient")
+        # Quotient exponents come out in falling lex order, and in a domain
+        # lexmin(divisor * w) = lexmin(divisor) + lexmin(w): a leading
+        # exponent below lexmin(self) - lexmin(divisor) is no quotient term.
+        floor = tuple(map(operator.sub, min(self._terms), min(divisor._terms)))
         beta = max(divisor._terms)
         c_d = QCoeff(divisor._terms[beta])
         rem = dict(self._terms)
@@ -156,6 +160,8 @@ class TorusElement(LinearCombination):
         while rem:
             xi = max(rem)
             gamma = tuple(x - b for x, b in zip(xi, beta))
+            if gamma < floor:
+                raise DivisionFailure("no exact quotient (leading term below the lex floor)")
             if any(g < l or g > h for g, l, h in zip(gamma, lo, hi)):
                 raise DivisionFailure("no exact quotient (leading term out of range)")
             s = self.form.pairing(beta, gamma)
@@ -165,6 +171,9 @@ class TorusElement(LinearCombination):
             piece = divisor * self._like({gamma: coeff_neg(c_w._terms)})
             for key, c in piece._terms.items():
                 coeff_acc(rem, key, c)
+            if xi in rem:
+                # The leading term always cancels; if not, the loop never ends.
+                raise RuntimeError(f"leading term {xi} did not cancel")
         return self._like(out)
 
     # -- serialization -----------------------------------------------------

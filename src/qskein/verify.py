@@ -210,7 +210,7 @@ def check_denominator(rng: random.Random) -> tuple[bool, str]:
 def check_annulus(rng: random.Random) -> tuple[bool, str]:
     """Annulus relations, loop Laurent formulas, centrality and membership."""
     model = AnnulusModel(bound=8)
-    results = model.verify_identities(irange=5)
+    results = model.verify_identities(irange=5, render=False)
     bad = [r["name"] for r in results if not r["ok"]]
     if bad:
         return False, "failed: " + ", ".join(bad[:5])

@@ -306,6 +306,29 @@ class TestIdentityPassOracle:
         assert row["rhs"] == render_elt(rhs)
 
 
+class TestUnrenderedPass:
+    """render=False keeps each row's name, verdict and place, and no text."""
+
+    @staticmethod
+    def assert_same_verdicts(model, irange):
+        rendered = model.verify_identities(irange=irange)
+        bare = model.verify_identities(irange=irange, render=False)
+        assert bare == [{"name": r["name"], "ok": r["ok"]} for r in rendered]
+
+    @pytest.mark.parametrize("irange", range(9))
+    def test_rows_match_the_rendered_pass(self, irange):
+        self.assert_same_verdicts(AnnulusModel(bound=11), irange)
+
+    def test_failing_identity_keeps_its_verdict(self):
+        broken = AnnulusModel(bound=6)
+        broken.x(6)
+        broken.x(-6)
+        broken._x[2] = broken.x(2).shift(2)
+        self.assert_same_verdicts(broken, 2)
+        rows = broken.verify_identities(irange=2, render=False)
+        assert {"name": "x_0*x_2 = a*b + q^-2*x_1^2", "ok": False} in rows
+
+
 class TestSharedCore:
     """The annulus elements print and specialise as the old per-module code did."""
 

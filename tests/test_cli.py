@@ -1,5 +1,6 @@
 """Command-line interface: verbs, output modes, exit codes, round-trips."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -7,6 +8,7 @@ import sys
 import pytest
 
 from qskein import cli, verify
+from qskein.annulus import AnnulusModel
 from qskein.qseed import QuantumSeed
 from qskein.qtorus import SkewForm, TorusElement
 from qskein.surface import TriangulatedSurface
@@ -420,6 +422,21 @@ class TestVerifyVerbs:
         data = json.loads(out)
         assert data["ok"] is True
         assert all(c["ok"] for c in data["checks"])
+
+    def test_annulus_verify_text_is_unchanged_and_renders_no_element(self, capsys, monkeypatch):
+        rows = AnnulusModel(bound=6).verify_identities(irange=3)
+        expected = "".join(f"PASS {r['name']}\n" for r in rows) + "66/66 annulus identities hold\n"
+
+        def no_text(x):
+            raise AssertionError("text mode rendered an element")
+
+        monkeypatch.setattr(TorusElement, "__str__", no_text)
+        code, out, _ = run_cli(capsys, "annulus", "verify", "--range", "3")
+        assert code == 0
+        assert out == expected
+        # sha256 of this output before text mode stopped rendering rows.
+        digest = "96fdf92cd84d9abfa13123de33aa178fa4d7f69ab5652a0ce1b028b09b4eca4f"
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_annulus_verify_has_no_bound_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -456,6 +456,19 @@ class TestMembershipMemo:
         with pytest.raises(ValueError, match="not exchangeable"):
             seed.xprime(0)
 
+    def test_kept_powers_are_powers_of_xprime(self):
+        model = AnnulusModel(bound=8)
+        seed = model.seed
+        assert all(qseed.upper_membership(model.x(i), seed) for i in range(-8, 9))
+        kept = {i: len(powers) for i, powers in seed._xprime.items()}
+        assert max(kept.values()) > 2
+        for i, top in kept.items():
+            for m in range(1, top + 1):
+                assert seed.xprime_power(i, m) == seed.xprime(i) ** m
+        assert {i: len(powers) for i, powers in seed._xprime.items()} == kept
+        with pytest.raises(ValueError, match="not positive"):
+            seed.xprime_power(seed.ex[0], 0)
+
     def test_verdicts_match_uncached_membership(self):
         model = AnnulusModel(bound=8)
         seed = model.seed
