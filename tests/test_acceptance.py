@@ -10,7 +10,7 @@ import warnings
 
 import pytest
 
-from qskein import verify
+from qskein import disc, verify
 
 CRITERIA = [name for name, _, _ in verify.CHECKS]
 IDS = [f"{i + 1:02d}-{name}" for i, name in enumerate(CRITERIA)]
@@ -31,6 +31,26 @@ def test_full_run_reports_every_criterion():
     results = verify.run(["all"], seed=1)
     assert [r["name"] for r in results] == CRITERIA
     assert all(verify.passed(r) for r in results)
+
+
+def test_suites_build_at_most_108_triangulation_states(monkeypatch):
+    # The suites visit 64 distinct triangulations; with the few states
+    # disc keeps, laurent, denominator and membership rebuild the 44 that
+    # earlier suites built.  More builds than that means the suites began
+    # to thrash the cache.
+    builds = []
+    form = disc.triangulation_form
+
+    def counted(n, delta):
+        builds.append(delta)
+        return form(n, delta)
+
+    monkeypatch.setattr(disc, "triangulation_form", counted)
+    disc._triangulation.cache_clear()
+    results = verify.run(["all"], seed=0)
+    assert all(verify.passed(r) for r in results)
+    assert len(set(builds)) == 64
+    assert len(builds) <= 108
 
 
 def test_warnings_inside_qskein_are_errors():

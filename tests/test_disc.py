@@ -1,8 +1,10 @@
 """Disc skein algebra: chords, rewriting, products, Laurent expansion."""
 
 import functools
+import gc
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -616,6 +618,30 @@ def triangulations(n):
     return disc.enumerate_triangulations(n)
 
 
+def assert_chord_denominators_in_bounded_memory(sizes):
+    """Expand every chord over every triangulation of each n-gon in sizes,
+    check that the negative support of each expansion is mu_delta (the
+    denominator theorem), and that less than 1 MB of what the loop
+    allocated is still live after it: chord images are kept only for the
+    few most recently used triangulations."""
+    disc._triangulation.cache_clear()
+    tracemalloc.start()
+    try:
+        for n in sizes:
+            chords = disc.all_chords(n)
+            for delta in disc.enumerate_triangulations(n):
+                for c in chords:
+                    x = DiscElement.basis(n, [c])
+                    support = disc.expand_laurent(x, delta).support()
+                    neg = tuple(max(0, -min(col)) for col in zip(*support))
+                    assert neg == disc.mu_delta(n, delta, x), (n, delta, c)
+        gc.collect()
+        live = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert live < 2**20, f"{live / 2**20:.2f} MB live after n = {sizes}"
+
+
 class TestChordImageExpansion:
     """expand_laurent through chord images against the cleared-denominator oracle."""
 
@@ -673,3 +699,21 @@ class TestChordImageExpansion:
         assert disc.expand_laurent(x, delta) == first
         monkeypatch.undo()
         assert first == cleared_expand_laurent(x, delta)
+
+    def test_eviction_cannot_change_an_answer(self):
+        n = 8
+        bound = disc._triangulation.cache_info().maxsize
+        assert len(triangulations(n)) > bound
+        chords = disc.all_chords(n)
+        first = {}
+        for delta in triangulations(n):
+            for c in chords:
+                first[delta, c] = disc.expand_laurent(DiscElement.basis(n, [c]), delta)
+                assert disc._triangulation.cache_info().currsize <= bound
+        for delta in triangulations(n):
+            disc._triangulation.cache_clear()
+            for c in chords:
+                assert disc.expand_laurent(DiscElement.basis(n, [c]), delta) == first[delta, c]
+
+    def test_images_of_past_triangulations_are_not_kept(self):
+        assert_chord_denominators_in_bounded_memory((7, 8))
