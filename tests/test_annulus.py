@@ -2,10 +2,13 @@
 
 import hashlib
 import json
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qskein.annulus import X0, X1, AnnulusModel
+from qskein.annulus import X0, X1, AnnulusModel, side_equals, side_sum
 from qskein.qcoeff import QCoeff, render
 from qskein.qseed import QuantumSeed, quasi_commutation_exponent, upper_membership
 from qskein.qtorus import TorusElement
@@ -163,6 +166,20 @@ class TestArgumentChecks:
         with pytest.raises(ValueError, match=r"^range 6 needs cache bound 9, have 8$"):
             AnnulusModel(bound=8).verify_identities(irange=6)
 
+    def test_identity_range_must_be_nonnegative(self):
+        with pytest.raises(ValueError, match="^range must be nonnegative$"):
+            AnnulusModel(bound=8).verify_identities(irange=-2)
+
+    @pytest.mark.parametrize("bound", [4.0, 1.5, "8"])
+    def test_bound_must_be_an_integer(self, bound):
+        with pytest.raises(TypeError):
+            AnnulusModel(bound=bound)
+
+    @pytest.mark.parametrize("irange", [1.5, 2.0, "2"])
+    def test_identity_range_must_be_an_integer(self, irange):
+        with pytest.raises(TypeError):
+            AnnulusModel(bound=8).verify_identities(irange=irange)
+
 
 class TestSeedData:
     def test_matrices(self, model):
@@ -292,18 +309,110 @@ class TestIdentityPassOracle:
         digest = hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest()
         assert digest == "53fe3827968c230e89429e531f114e257fffa9601bd051b29fbc5bb864e3bb7a"
 
+    @staticmethod
+    def broken(x2):
+        """A model whose x_2 is replaced by x2(model) after x_-6 ... x_6 are built."""
+        model = AnnulusModel(bound=6)
+        model.x(6)
+        model.x(-6)
+        model._x[2] = x2(model)
+        return model
+
     def test_failing_identity_renders_its_own_rhs(self):
-        broken = AnnulusModel(bound=6)
-        broken.x(6)
-        broken.x(-6)
-        broken._x[2] = broken.x(2).shift(2)
+        broken = self.broken(lambda m: m.x(2).shift(2))
         rows = broken.verify_identities(irange=2)
         assert rows == oracle_identities(broken, 2)
-        row = next(r for r in rows if r["name"] == "x_0*x_2 = a*b + q^-2*x_1^2")
+        by_name = {r["name"]: r for r in rows}
+        x1, x2, ab, v = broken.x(1), broken.x(2), broken.a * broken.b, QCoeff.v
+        for name, rhs in [
+            ("x_0*x_2 = a*b + q^-2*x_1^2", ab + x1 * x1 * v(-4)),
+            (
+                "(x_1*x_2)*ell = q*x_1^2 + q^-1*a*b + q^-3*x_2^2",
+                x1 * x1 * v(2) + ab * v(-2) + x2 * x2 * v(-6),
+            ),
+        ]:
+            row = by_name[name]
+            assert not row["ok"]
+            assert row["rhs"] != row["lhs"]
+            assert row["rhs"] == render_elt(rhs)
+
+    def test_failing_swap_renders_its_shifted_rhs(self):
+        # x_2 + q x_0 does not quasi-commute with x_1 as x_2 does, so the
+        # one-part side q^-2 x_2 x_1 fails.
+        broken = self.broken(lambda m: m.x(2) + m.x(0).shift(2))
+        rows = broken.verify_identities(irange=2)
+        assert rows == oracle_identities(broken, 2)
+        row = next(r for r in rows if r["name"] == "x_1*x_2 = q^-2*x_2*x_1")
         assert not row["ok"]
         assert row["rhs"] != row["lhs"]
-        rhs = broken.a * broken.b + broken.x(1) * broken.x(1) * QCoeff.v(-4)
-        assert row["rhs"] == render_elt(rhs)
+        assert row["rhs"] == render_elt(broken.x(2) * broken.x(1) * QCoeff.v(-4))
+
+
+SIDE_FORM = AnnulusModel(bound=1).form
+side_elements = st.dictionaries(
+    st.tuples(*[st.integers(-1, 1)] * 4),
+    st.dictionaries(st.integers(-3, 3), st.integers(-2, 2).filter(bool), min_size=1, max_size=3),
+    max_size=4,
+).map(lambda t: TorusElement(SIDE_FORM, {a: QCoeff(c) for a, c in t.items()}))
+side_parts = st.lists(
+    st.tuples(side_elements, st.integers(-4, 4), st.sampled_from([1, -1])), min_size=1, max_size=3
+)
+
+
+class TestSideComparison:
+    """side_equals compares a sum of parts term by term as == compares the built sum."""
+
+    @staticmethod
+    def built(parts):
+        """The sum of sign * v^k * x over parts, by element arithmetic."""
+        out = TorusElement.zero(SIDE_FORM)
+        for x, k, sign in parts:
+            out = out + x.shift(k) if sign == 1 else out - x.shift(k)
+        return out
+
+    @staticmethod
+    def mono(alpha, k=0, c=1):
+        return TorusElement.monomial(SIDE_FORM, alpha, QCoeff.from_int(c) * QCoeff.v(k))
+
+    @given(side_parts, side_elements, st.booleans())
+    @settings(max_examples=200)
+    def test_agrees_with_the_built_sum(self, parts, noise, perturb):
+        built = self.built(parts)
+        assert side_sum(parts) == built
+        for lhs in [built, built + noise if perturb else noise]:
+            assert side_equals(lhs, parts) == (lhs == built)
+
+    def test_a_sum_that_cancels_at_one_exponent(self):
+        x = self.mono((1, 0, 0, 0), 1) + self.mono((0, 1, 0, 0))
+        y = self.mono((1, 0, 0, 0), -1) + self.mono((0, 0, 1, 0))
+        parts = [(x, -2, 1), (y, 0, -1)]
+        lhs = self.mono((0, 1, 0, 0), -2) - self.mono((0, 0, 1, 0))
+        assert side_equals(lhs, parts)
+        assert not side_equals(lhs + self.mono((1, 0, 0, 0), -1), parts)
+        assert side_sum(parts) == lhs == self.built(parts)
+
+    def test_a_key_only_on_the_left(self):
+        x = self.mono((1, 0, 0, 0), 2)
+        lhs = x.shift(1) + self.mono((0, 0, 0, 1))
+        assert not side_equals(lhs, [(x, 1, 1)])
+        assert side_equals(lhs, [(x, 1, 1), (self.mono((0, 0, 0, 1), 3), -3, 1)])
+
+    def test_a_key_only_in_one_part(self):
+        x = self.mono((1, 0, 0, 0)) + self.mono((0, 1, 0, 0), 2)
+        y = self.mono((1, 0, 0, 0), 3)
+        parts = [(x, 0, 1), (y, -3, -1)]
+        assert side_equals(self.mono((0, 1, 0, 0), 2), parts)
+        assert not side_equals(TorusElement.zero(SIDE_FORM), parts)
+        assert not side_equals(self.mono((0, 1, 0, 0), 2), [(x, 0, 1)])
+
+    def test_one_coefficient_off_by_one(self):
+        x = self.mono((1, 0, 0, 0), 0, 3) + self.mono((0, 1, 0, 0), 2, -2)
+        parts = [(x, 1, -1)]
+        lhs = self.built(parts)
+        assert side_equals(lhs, parts)
+        for alpha, k in [((1, 0, 0, 0), 1), ((0, 1, 0, 0), 3), ((1, 0, 0, 0), 0)]:
+            for c in [1, -1]:
+                assert not side_equals(lhs + self.mono(alpha, k, c), parts)
 
 
 class TestUnrenderedPass:
@@ -320,13 +429,27 @@ class TestUnrenderedPass:
         self.assert_same_verdicts(AnnulusModel(bound=11), irange)
 
     def test_failing_identity_keeps_its_verdict(self):
-        broken = AnnulusModel(bound=6)
-        broken.x(6)
-        broken.x(-6)
-        broken._x[2] = broken.x(2).shift(2)
+        broken = TestIdentityPassOracle.broken(lambda m: m.x(2).shift(2))
         self.assert_same_verdicts(broken, 2)
         rows = broken.verify_identities(irange=2, render=False)
         assert {"name": "x_0*x_2 = a*b + q^-2*x_1^2", "ok": False} in rows
+
+    def test_pass_memory_is_bounded(self):
+        # tracemalloc peak of the range-8 pass with every x_i built: 2.38 MiB
+        # when each summed side was built to compare it and five large
+        # products could be alive at once, 1.31 MiB with sides compared
+        # term by term and at most three products alive.
+        model = AnnulusModel(bound=11)
+        for i in range(-11, 12):
+            model.x(i)
+        tracemalloc.start()
+        try:
+            rows = model.verify_identities(irange=8, render=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(r["ok"] for r in rows)
+        assert peak < 1.9 * 2**20, f"{peak / 2**20:.2f} MiB peak"
 
 
 class TestSharedCore:
