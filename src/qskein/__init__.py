@@ -19,9 +19,7 @@ from .disc import (
     crosses,
     enumerate_triangulations,
     expand_laurent,
-    flip_diagonal,
     is_boundary_chord,
-    leading_smoothing,
     localize,
     mu,
     mu_delta,
@@ -59,6 +57,7 @@ from .surface import (
     from_chords,
     lambda_matrix,
     q_matrix,
+    to_chords,
     to_seed,
 )
 
@@ -99,12 +98,10 @@ __all__ = [
     "exact_divide",
     "expand_laurent",
     "flip",
-    "flip_diagonal",
     "from_chords",
     "is_acyclic",
     "is_boundary_chord",
     "lambda_matrix",
-    "leading_smoothing",
     "localize",
     "matrix_mutate",
     "mu",
@@ -118,6 +115,7 @@ __all__ = [
     "render",
     "sinks",
     "sources",
+    "to_chords",
     "to_seed",
     "triangulation_form",
     "triangulation_seed",

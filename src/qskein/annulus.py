@@ -86,6 +86,7 @@ class AnnulusModel:
         return z.exact_divide_left(w)
 
     def x(self, i: int) -> TorusElement:
+        i = operator.index(i)
         if not -self.bound <= i <= self.bound:
             raise ValueError(f"index {i} exceeds the cache bound {self.bound}")
         v = QCoeff.v

@@ -105,10 +105,6 @@ def lam_pair(n: int, x: Chord, y: Chord) -> int:
     return s
 
 
-def _cw_dist(n: int, frm: int, to: int) -> int:
-    return (to - frm) % n
-
-
 def _smooth(n: int, over: Chord, under: Chord) -> tuple[tuple[Chord, Chord], tuple[Chord, Chord]]:
     """Return (q-smoothing, q^-1-smoothing) of one crossing."""
     o1, o2 = over
@@ -116,7 +112,7 @@ def _smooth(n: int, over: Chord, under: Chord) -> tuple[tuple[Chord, Chord], tup
     pairs_q = []
     pairs_qi = []
     for o in (o1, o2):
-        cw = u1 if _cw_dist(n, o, u1) < _cw_dist(n, o, u2) else u2
+        cw = u1 if (u1 - o) % n < (u2 - o) % n else u2
         ccw = u2 if cw == u1 else u1
         pairs_q.append(normalize_chord(n, (o, cw)))
         pairs_qi.append(normalize_chord(n, (o, ccw)))
@@ -473,47 +469,6 @@ def mu_delta(n: int, delta, x: DiscElement) -> tuple[int, ...]:
     return tuple(best)
 
 
-# -- smoothing and leading terms -------------------------------------------
-
-
-def leading_smoothing(n: int, c, key: MultisetKey) -> MultisetKey:
-    """gamma_c: apply the q-smoothing of c over every crossing with key.
-
-    Returns the multiset of [c] stacked over [key] with all crossings
-    q-smoothed; this is the leading support of the product [c][key].
-    """
-    p, r = normalize_chord(n, c)
-    crossers: list[Chord] = []
-    rest: dict[Chord, int] = {}
-    for y, w in key:
-        if crosses((p, r), y):
-            if w < 0:
-                raise ValueError("cannot smooth a negatively weighted chord")
-            crossers.extend([y] * w)
-        else:
-            rest[y] = rest.get(y, 0) + w
-    span = _cw_dist(n, p, r)
-
-    def near_far(y: Chord) -> tuple[int, int]:
-        a, b = y
-        if 0 < _cw_dist(n, p, a) < span:
-            return a, b
-        return b, a
-
-    crossers.sort(key=lambda y: (_cw_dist(n, p, near_far(y)[0]), _cw_dist(n, near_far(y)[1], p)))
-    chain: list[Chord] = []
-    prev = p
-    for y in crossers:
-        near, far = near_far(y)
-        chain.append(normalize_chord(n, (prev, near)))
-        prev = far
-    chain.append(normalize_chord(n, (prev, r)))
-    merged = dict(rest)
-    for ch in chain:
-        merged[ch] = merged.get(ch, 0) + 1
-    return tuple(sorted((ch, w) for ch, w in merged.items() if w))
-
-
 # -- localization ----------------------------------------------------------
 
 
@@ -576,22 +531,6 @@ def enumerate_triangulations(n: int) -> list[tuple[Chord, ...]]:
     return sorted(
         tuple(sorted(base + sorted(diags))) for diags in diagonal_sets(tuple(range(1, n + 1)))
     )
-
-
-def flip_diagonal(n: int, delta, d) -> tuple[tuple[Chord, ...], Chord]:
-    """Flip one diagonal, keeping its position in the arc list.
-
-    Returns (new_delta, new_chord); new_delta has the new chord at the
-    index the old one occupied, other arcs untouched.
-    """
-    arcs = [normalize_chord(n, c) for c in delta]
-    d = normalize_chord(n, d)
-    if d not in arcs:
-        raise ValueError(f"{d} is not an arc of the triangulation")
-    j = arcs.index(d)
-    a, b = surface.flip(surface.from_chords(n, arcs), j).arcs[j].ends
-    arcs[j] = normalize_chord(n, (a + 1, b + 1))
-    return tuple(arcs), arcs[j]
 
 
 # -- Laurent expansion ------------------------------------------------------

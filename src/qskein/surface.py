@@ -414,6 +414,15 @@ def from_chords(n: int, arcs) -> TriangulatedSurface:
     return TriangulatedSurface(fans)
 
 
+def to_chords(s: TriangulatedSurface) -> tuple[tuple[int, int], ...]:
+    """The chord of each arc, in arc order: the inverse of ``from_chords``.
+
+    Valid for the discs that ``from_chords`` and ``build_disc`` make and
+    for their flips, whose surface point p is chord endpoint p + 1.
+    """
+    return tuple((min(a, b) + 1, max(a, b) + 1) for a, b in (arc.ends for arc in s.arcs))
+
+
 def build_annulus(p: int, q: int) -> TriangulatedSurface:
     """Triangulated annulus with p outer and q inner marked points."""
     if p < 1 or q < 1:

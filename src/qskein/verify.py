@@ -124,11 +124,13 @@ def check_flip_mutation(rng: random.Random) -> tuple[bool, str]:
     count = 0
     for n in range(4, 7):
         for delta in disc.enumerate_triangulations(n):
-            seed = disc.triangulation_seed(n, delta)
+            s = surf.from_chords(n, delta)
+            seed = surf.to_seed(s)
             for i in seed.ex:
-                new_delta, new_chord = disc.flip_diagonal(n, delta, delta[i])
+                t = surf.flip(s, i)
+                new_chord = surf.to_chords(t)[i]
                 mut = seed.mutate(i)
-                flipped = disc.triangulation_seed(n, new_delta)
+                flipped = surf.to_seed(t)
                 if mut.b != flipped.b:
                     return False, f"B mismatch: n={n}, delta={delta}, i={i}"
                 if mut.lam.matrix != flipped.lam.matrix:
@@ -271,8 +273,7 @@ def check_catalan(rng: random.Random) -> tuple[bool, str]:
             s = frontier.pop()
             for j in s.internal_arcs():
                 flipped = surf.flip(s, j)
-                ends = (arc.ends for arc in flipped.arcs)
-                key = tuple(sorted((min(a, b) + 1, max(a, b) + 1) for a, b in ends))
+                key = tuple(sorted(surf.to_chords(flipped)))
                 if key not in seen:
                     seen.add(key)
                     frontier.append(flipped)

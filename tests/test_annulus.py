@@ -180,6 +180,14 @@ class TestArgumentChecks:
         with pytest.raises(TypeError):
             AnnulusModel(bound=8).verify_identities(irange=irange)
 
+    @pytest.mark.parametrize("i", [1.5, 2.0, "2"])
+    def test_index_must_be_an_integer(self, i):
+        model = AnnulusModel(bound=4)
+        cached = dict(model._x)
+        with pytest.raises(TypeError):
+            model.x(i)
+        assert model._x == cached
+
 
 class TestSeedData:
     def test_matrices(self, model):

@@ -220,28 +220,6 @@ class TestElementAlgebra:
             DiscElement.from_json(data)
 
 
-class TestLeadingTerm:
-    def test_leading_smoothing_matches_top_layer(self):
-        k24 = disc.multiset_key(4, [(2, 4)])
-        assert disc.leading_smoothing(4, (1, 3), k24) == disc.multiset_key(4, [(1, 2), (3, 4)])
-        prod = disc.product(DiscElement.basis(4, [(1, 3)]), DiscElement.basis(4, [(2, 4)]))
-        assert prod.in_q() == DiscElement.basis(4, [(1, 2), (3, 4)])
-
-    def test_leading_smoothing_random_agreement(self):
-        rng = random.Random(11)
-        hits = 0
-        for _ in range(40):
-            n = rng.randint(4, 7)
-            chords = disc.all_chords(n)
-            c = rng.choice(chords)
-            other = rng.choice(chords)
-            key = disc.multiset_key(n, [other])
-            top = disc.product(DiscElement.basis(n, [c]), DiscElement.basis(n, [other])).in_q()
-            assert top == DiscElement.basis(n, list(ch for ch, w in disc.leading_smoothing(n, c, key) for _ in range(w)))
-            hits += 1
-        assert hits == 40
-
-
 class TestCrossingNumbers:
     def test_mu(self):
         assert disc.mu(DiscElement.basis(4, [(1, 3)]), DiscElement.basis(4, [(2, 4)])) == 1
@@ -281,18 +259,10 @@ class TestTriangulations:
 
     def test_flip_square(self):
         fan4 = tuple(sorted(disc.boundary_chords(4) + [(1, 3)]))
-        new_delta, new_chord = disc.flip_diagonal(4, fan4, (1, 3))
-        assert new_chord == (2, 4)
-        assert new_delta == ((1, 2), (2, 4), (1, 4), (2, 3), (3, 4))
-        back, chord = disc.flip_diagonal(4, new_delta, (2, 4))
-        assert chord == (1, 3)
-        assert sorted(back) == sorted(fan4)
-
-    def test_flip_rejects_boundary(self):
-        fan4 = tuple(sorted(disc.boundary_chords(4) + [(1, 3)]))
-        with pytest.raises(ValueError):
-            disc.flip_diagonal(4, fan4, (1, 2))
-
+        flipped = surf.flip(surf.from_chords(4, fan4), 1)
+        assert surf.to_chords(flipped) == ((1, 2), (2, 4), (1, 4), (2, 3), (3, 4))
+        back = surf.flip(flipped, 1)
+        assert surf.to_chords(back) == fan4
 
     @pytest.mark.parametrize("n", range(3, 11))
     def test_each_triangulation_listed_once(self, n):

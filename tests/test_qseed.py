@@ -133,7 +133,7 @@ class TestMutation:
             (0, -1, 1, 0, 1, 0, 0),
             (1, -1, 0, 0, 0, 1, 0),
         ]
-        new_delta, new_chord = disc.flip_diagonal(5, FAN5, FAN5[1])
+        new_chord = surf.to_chords(surf.flip(surf.from_chords(5, FAN5), 1))[1]
         assert new_chord == (2, 4)
         expansion = disc.expand_laurent(DiscElement.basis(5, [new_chord]), FAN5)
         assert mut.frame[1] == expansion
@@ -150,8 +150,8 @@ class TestMutation:
 
     def test_b_matrix_exchange(self, pentagon):
         mut = pentagon.mutate(1)
-        flipped_delta, _ = disc.flip_diagonal(5, FAN5, FAN5[1])
-        assert mut.b == disc.triangulation_seed(5, flipped_delta).b
+        flipped = surf.flip(surf.from_chords(5, FAN5), 1)
+        assert mut.b == surf.to_seed(flipped).b
 
     def test_mutation_preserves_compatibility(self, pentagon):
         assert pentagon.mutate(1).check_compatibility() == {1: 4, 2: 4}
@@ -559,17 +559,20 @@ class TestDivisionFreeFrames:
         fan = tuple(sorted(disc.boundary_chords(n) + [(1, k) for k in range(3, n)]))
         chords = {}
         seen = {frozenset(fan)}
-        queue = deque([(fan, disc.triangulation_seed(n, fan))])
+        start = surf.from_chords(n, fan)
+        queue = deque([(start, surf.to_seed(start))])
         while queue:
-            delta, seed = queue.popleft()
+            s, seed = queue.popleft()
+            delta = surf.to_chords(s)
             for j, c in enumerate(delta):
                 if c not in chords:
                     chords[c] = disc.expand_laurent(DiscElement.basis(n, [c]), fan)
                 assert seed.frame[j] == chords[c], (delta, j)
             for i in seed.ex:
-                flipped, _ = disc.flip_diagonal(n, delta, delta[i])
-                if frozenset(flipped) not in seen:
-                    seen.add(frozenset(flipped))
+                flipped = surf.flip(s, i)
+                key = frozenset(surf.to_chords(flipped))
+                if key not in seen:
+                    seen.add(key)
                     queue.append((flipped, seed.mutate(i)))
         assert len(seen) == [2, 5, 14, 42, 132][n - 4]
 

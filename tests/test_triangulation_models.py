@@ -1,13 +1,16 @@
-"""Chord lists (disc.py) are read as surfaces (surface.from_chords).
+"""Chord lists (disc.py) and surfaces are views of one triangulation
+(surface.from_chords and its inverse surface.to_chords).
 
 Every triangulation of the disc with n = 3..8 marked points is reached
 by breadth-first flips from the fan triangulation.  Surface point p is
 chord endpoint p + 1, and a flip keeps arc j at index j, so the chord
-list of each surface must rebuild that very surface, and the chord-level
-seeds and flips must match the surface ones entry by entry.
+list of each surface must rebuild that very surface, a flip must change
+that list at index j only, and the chord-level seeds must match the
+surface ones entry by entry.
 """
 
 import itertools
+import math
 import random
 
 import pytest
@@ -15,8 +18,6 @@ import pytest
 from qskein import disc
 from qskein import surface as surf
 from qskein.disc import DiscElement
-
-CATALAN = {3: 1, 4: 2, 5: 5, 6: 14, 7: 42, 8: 132}
 
 FAN5 = tuple(sorted(disc.boundary_chords(5) + [(1, 3), (1, 4)]))
 
@@ -30,32 +31,30 @@ NOT_TRIANGULATIONS = {  # chords, and how from_chords rejects them
 }
 
 
-def chords_of(s):
-    n = s.n_points
-    return tuple(disc.normalize_chord(n, (a + 1, b + 1)) for a, b in (arc.ends for arc in s.arcs))
-
-
 def all_surfaces(n):
     """Every triangulation of the n-gon once, as a surface, by flips."""
     start = surf.build_disc(n)
-    seen = {frozenset(chords_of(start))}
+    seen = {frozenset(surf.to_chords(start))}
     queue = [start]
     for s in queue:
         for j in s.internal_arcs():
             t = surf.flip(s, j)
-            key = frozenset(chords_of(t))
+            key = frozenset(surf.to_chords(t))
             if key not in seen:
                 seen.add(key)
                 queue.append(t)
     return queue
 
 
-@pytest.mark.parametrize("n", sorted(CATALAN))
-def test_chord_and_surface_models_agree(n):
+def assert_chord_and_surface_models_agree(n):
+    """Every triangulation of the n-gon, reached by surface flips, reads
+    back through to_chords and from_chords to itself and its seed; a flip
+    of arc j changes chord j only; and to_chords inverts from_chords on
+    every enumerated chord list."""
     surfaces = all_surfaces(n)
-    assert len(surfaces) == CATALAN[n]
+    assert len(surfaces) == math.comb(2 * n - 4, n - 2) // (n - 1)
     for s in surfaces:
-        arcs = chords_of(s)
+        arcs = surf.to_chords(s)
         assert surf.from_chords(n, arcs) == s
         chord_seed = disc.triangulation_seed(n, arcs)
         surface_seed = surf.to_seed(s)
@@ -63,9 +62,16 @@ def test_chord_and_surface_models_agree(n):
         assert chord_seed.lam == surface_seed.lam
         assert chord_seed.ex == surface_seed.ex
         for j in s.internal_arcs():
-            flipped, new = disc.flip_diagonal(n, arcs, arcs[j])
-            assert flipped == chords_of(surf.flip(s, j))
-            assert flipped[j] == new
+            flipped = surf.to_chords(surf.flip(s, j))
+            assert flipped[:j] + flipped[j + 1 :] == arcs[:j] + arcs[j + 1 :]
+            assert flipped[j] != arcs[j]
+    for delta in disc.enumerate_triangulations(n):
+        assert surf.to_chords(surf.from_chords(n, delta)) == delta
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_chord_and_surface_models_agree(n):
+    assert_chord_and_surface_models_agree(n)
 
 
 @pytest.mark.parametrize("n", [5, 6, 7])
