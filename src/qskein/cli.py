@@ -124,7 +124,7 @@ def _load_seed(args) -> QuantumSeed:
 def _disc_preset(n: int) -> QuantumSeed:
     if n < 3:
         raise InputError("--preset: a disc needs at least 3 marked points")
-    fan = tuple(sorted(disc.boundary_chords(n) + [(1, k) for k in range(3, n)]))
+    fan = tuple(sorted(surf.to_chords(surf.build_disc(n))))
     return disc.triangulation_seed(n, fan)
 
 

@@ -192,13 +192,6 @@ class DiscElement(LinearCombination):
 
     # -- structure ------------------------------------------------------
 
-    def in_q(self) -> DiscElement:
-        """Top v-degree layer, as an integer combination of multisets."""
-        if not self._terms:
-            return self
-        top = max(max(c) for c in self._terms.values())
-        return self._like({key: {0: c[top]} for key, c in self._terms.items() if top in c})
-
     def grading(self) -> tuple[int, ...]:
         """Endpoint degree in Z^n, or raise InhomogeneousError."""
         if not self._terms:

@@ -135,6 +135,7 @@ class QCoeff:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> QCoeff:
+        n = operator.index(n)
         if n < 0:
             raise ValueError("negative powers are not defined in Z[v, v^-1]")
         return square_and_multiply(QCoeff.one(), self, n)

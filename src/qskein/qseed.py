@@ -152,6 +152,7 @@ class QuantumSeed:
     # -- mutation -----------------------------------------------------------
 
     def mutate(self, i: int) -> QuantumSeed:
+        i = operator.index(i)
         if i not in self.ex:
             raise ValueError(f"index {i} is not exchangeable")
         col = self.ex.index(i)
@@ -189,6 +190,7 @@ class QuantumSeed:
         incompatible seed always raises.  Each power, once built, is kept
         on the seed with all the lower ones.
         """
+        i, m = operator.index(i), operator.index(m)
         if m < 1:
             raise ValueError(f"power {m} of X'_{i} is not positive")
         if self._xprime is None:
@@ -321,13 +323,20 @@ def enumerate_seeds(seed: QuantumSeed, max_seeds: int = 64, max_depth: int = 16)
     stopping), so infinite exchange types never loop.  Each
     queued seed carries the index that produced it: mutation is an
     involution, so mutating there again would only rebuild its parent.
+    Raises ValueError when max_seeds < 1 or max_depth < 0.
     """
+    max_seeds, max_depth = operator.index(max_seeds), operator.index(max_depth)
+    if max_seeds < 1:
+        raise ValueError(f"max_seeds must be at least 1, got {max_seeds}")
+    if max_depth < 0:
+        raise ValueError(f"max_depth must be nonnegative, got {max_depth}")
+
     def key(s: QuantumSeed):
         return frozenset(f.fingerprint() for f in s.frame)
 
     seen = {key(seed)}
     out = [seed]
-    if max_seeds <= 1:
+    if max_seeds == 1:
         return out, bool(seed.ex)
     queue = deque([(seed, 0, None)])
     truncated = False

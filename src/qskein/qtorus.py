@@ -118,6 +118,7 @@ class TorusElement(LinearCombination):
         return self._like(torus_mul(self._terms, other._terms, self.space.matrix))
 
     def __pow__(self, n: int) -> TorusElement:
+        n = operator.index(n)
         if n < 0:
             raise ValueError("use monomial inverses or exact division for negative powers")
         return square_and_multiply(TorusElement.monomial(self.form, (0,) * self.form.rank), self, n)

@@ -18,11 +18,12 @@ incident arc ends ``(arc, end)``, most clockwise first, with ends 0 and
 All matrices attached to a triangulation (orientation matrix, skew
 adjacency matrix, exchange matrix) depend only on the fan orders, so
 arcs are homotopy-class representatives, never geometric curves.
-Builders, flips and cuts edit fans only.  Surface JSON lists
-``marked_points`` (the fans), the derived ``arcs`` and ``triangles``,
-and ``components``; ``from_json`` rejects a payload whose arcs or
-triangles disagree with its fans.  Builders cover genus-0 cases (discs,
-annuli, disjoint unions); the data model itself permits any genus.
+Builders write fan lists and construct the surface once; flips and
+cuts edit fans only.  Surface JSON lists ``marked_points`` (the fans),
+the derived ``arcs`` and ``triangles``, and ``components``;
+``from_json`` rejects a payload whose arcs or triangles disagree with
+its fans.  Builders cover genus-0 cases (discs, annuli, disjoint
+unions); the data model itself permits any genus.
 """
 
 from __future__ import annotations
@@ -318,64 +319,33 @@ def to_seed(s: TriangulatedSurface) -> QuantumSeed:
 # -- builders ----------------------------------------------------------------
 
 
-def _disc3() -> TriangulatedSurface:
-    return TriangulatedSurface(
-        [
-            [(2, 1), (0, 0)],
-            [(0, 1), (1, 0)],
-            [(1, 1), (2, 0)],
-        ]
-    )
+def _add_boundary_points(fans: list[list[ArcEnd]], u: int, w: int, e: int, count: int) -> int:
+    """Add count marked points, one at a time, to fan lists.
 
-
-def _annulus11() -> TriangulatedSurface:
-    # Points: 0 on the outer boundary, 1 on the inner one.  Arcs: a = 0 and
-    # b = 1 are the boundary circles, x0 = 2 and x1 = 3 the two parallel
-    # internal arcs.
-    return TriangulatedSurface(
-        [
-            [(0, 0), (3, 0), (2, 0), (0, 1)],
-            [(1, 0), (3, 1), (2, 1), (1, 1)],
-        ]
-    )
-
-
-def split_boundary_arc(s: TriangulatedSurface, arc: int) -> TriangulatedSurface:
-    """Add a marked point on a boundary arc.
-
-    The arc's record is reused for the internal arc cutting off the new
-    triangle; two new boundary arcs join the new point to the old
-    endpoints.  The new point index is n_points, the new arc indices are
-    n_arcs and n_arcs + 1.
+    The first point goes on the boundary arc whose end is last in fans[u]
+    and first in fans[w], each later one on the boundary arc from the
+    previous new point to w.  Each point cuts off a triangle: the split
+    arc turns internal, and new boundary arcs e (from u) and e + 1 (to w)
+    join the new point, appended as the last fan.  Returns the next free
+    arc index.
     """
-    if not s.arcs[arc].boundary:
-        raise ValueError(f"arc {arc} is not a boundary arc")
-    # The arc's end is last in the fan of u and first in the fan of w.
-    (u,) = [p for p, fan in enumerate(s.fans) if fan[-1][0] == arc]
-    (w,) = [p for p, fan in enumerate(s.fans) if fan[0][0] == arc]
-    e1 = s.n_arcs
-    e2 = s.n_arcs + 1
-    fans = [list(fan) for fan in s.fans]
-    fans[u].append((e1, 0))
-    fans[w].insert(0, (e2, 1))
-    fans.append([(e1, 1), (e2, 0)])
-    return TriangulatedSurface(fans)
+    for _ in range(count):
+        fans[u].append((e, 0))
+        fans[w].insert(0, (e + 1, 1))
+        fans.append([(e, 1), (e + 1, 0)])
+        u = len(fans) - 1
+        e += 2
+    return e
 
 
 def build_disc(n: int) -> TriangulatedSurface:
     """Fan triangulation of the disc with n marked points."""
     if n < 3:
         raise ValueError("a triangulated disc needs at least 3 marked points")
-    s = _disc3()
-    for k in range(3, n):
-        # Split the boundary arc from the last point back to point 0.
-        (idx,) = [
-            i
-            for i, a in enumerate(s.arcs)
-            if a.boundary and set(a.ends) == {k - 1, 0}
-        ]
-        s = split_boundary_arc(s, idx)
-    return s
+    # A triangle on points 0, 1, 2; point k goes on the arc from k - 1 to 0.
+    fans = [[(2, 1), (0, 0)], [(0, 1), (1, 0)], [(1, 1), (2, 0)]]
+    _add_boundary_points(fans, 2, 0, 3, n - 3)
+    return TriangulatedSurface(fans)
 
 
 def from_chords(n: int, arcs) -> TriangulatedSurface:
@@ -427,15 +397,16 @@ def build_annulus(p: int, q: int) -> TriangulatedSurface:
     """Triangulated annulus with p outer and q inner marked points."""
     if p < 1 or q < 1:
         raise ValueError("annulus needs at least one marked point per boundary")
-    s = _annulus11()
-    outer, inner = 0, 1
-    for _ in range(p - 1):
-        s = split_boundary_arc(s, outer)
-        outer = s.n_arcs - 1
-    for _ in range(q - 1):
-        s = split_boundary_arc(s, inner)
-        inner = s.n_arcs - 1
-    return s
+    # Points: 0 on the outer boundary, 1 on the inner one.  Arcs: a = 0 and
+    # b = 1 are the boundary circles, x0 = 2 and x1 = 3 the two parallel
+    # internal arcs.
+    fans = [
+        [(0, 0), (3, 0), (2, 0), (0, 1)],
+        [(1, 0), (3, 1), (2, 1), (1, 1)],
+    ]
+    e = _add_boundary_points(fans, 0, 0, 4, p - 1)
+    _add_boundary_points(fans, 1, 1, e, q - 1)
+    return TriangulatedSurface(fans)
 
 
 def disjoint_union(s1: TriangulatedSurface, s2: TriangulatedSurface) -> TriangulatedSurface:

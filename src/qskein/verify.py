@@ -228,7 +228,7 @@ def check_membership(rng: random.Random) -> tuple[bool, str]:
     """Cluster variables pass the membership test; M^{-e_i} fails it."""
     count = 0
     n = 5
-    fan = tuple(sorted(disc.boundary_chords(n) + [(1, 3), (1, 4)]))
+    fan = tuple(sorted(surf.to_chords(surf.build_disc(n))))
     seed = disc.triangulation_seed(n, fan)
     for c in [(1, 3), (1, 4), (2, 4), (2, 5), (3, 5)]:
         x = disc.expand_laurent(DiscElement.basis(n, [c]), fan)

@@ -82,6 +82,8 @@ class TestArithmetic:
         for k in range(7):
             assert x**k == expected
             expected = expected * x
+        with pytest.raises(TypeError):
+            x**2.0
 
     @pytest.mark.parametrize("k, products", [(0, 0), (1, 1), (2, 2), (3, 3), (4, 3)])
     def test_power_squares_only_while_bits_remain(self, monkeypatch, k, products):

@@ -469,6 +469,17 @@ class TestMembershipMemo:
         with pytest.raises(ValueError, match="not positive"):
             seed.xprime_power(seed.ex[0], 0)
 
+    @pytest.mark.parametrize(
+        "call",
+        [lambda s: s.mutate(2.0), lambda s: s.xprime_power(2, 1.5), lambda s: s.xprime(2.0)],
+        ids=["mutate", "xprime_power", "xprime"],
+    )
+    def test_non_integer_arguments_raise_before_any_work(self, call):
+        seed = start_seed("annulus")
+        with pytest.raises(TypeError):
+            call(seed)
+        assert seed._xprime is None
+
     def test_verdicts_match_uncached_membership(self):
         model = AnnulusModel(bound=8)
         seed = model.seed
@@ -515,6 +526,15 @@ class TestEnumeration:
         seeds, truncated = qseed.enumerate_seeds(pentagon, max_seeds=1)
         assert seeds == [pentagon]
         assert truncated
+
+    @pytest.mark.parametrize(
+        "max_seeds, max_depth, error",
+        [(0, 16, ValueError), (-1, 16, ValueError), (2, -1, ValueError),
+         (2.5, 16, TypeError), (2, 1.0, TypeError)],
+    )
+    def test_caps_are_checked_integers(self, pentagon, max_seeds, max_depth, error):
+        with pytest.raises(error):
+            qseed.enumerate_seeds(pentagon, max_seeds, max_depth)
 
     @pytest.mark.parametrize(
         "name, max_seeds, max_depth", [("disc:7", 99, 16), ("disc:7", 99, 3), ("annulus", 16, 64)]

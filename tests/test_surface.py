@@ -7,7 +7,60 @@ from qskein import surface as surf
 from qskein.surface import CutError, FlipError, TriangulatedSurface
 
 
+def split_oracle(fans, arc):
+    """The fans after adding a marked point on boundary arc `arc`, found by
+    scanning: the arc's end is last in the fan of u and first in that of w."""
+    (u,) = [p for p, fan in enumerate(fans) if fan[-1][0] == arc]
+    (w,) = [p for p, fan in enumerate(fans) if fan[0][0] == arc]
+    e = sum(map(len, fans)) // 2
+    fans = [list(fan) for fan in fans] + [[(e, 1), (e + 1, 0)]]
+    fans[u].append((e, 0))
+    fans[w].insert(0, (e + 1, 1))
+    return fans
+
+
+def assert_builders_match_split_oracle(max_n, max_pq):
+    """build_disc(n) for n = 3..max_n and build_annulus(p, q) for
+    1 <= p, q <= max_pq have the fans of one split at a time: the disc's
+    point k on the boundary arc joining points k - 1 and 0, the annulus's
+    points on the last-made outer arc, then on the last-made inner one."""
+    fans = [[(2, 1), (0, 0)], [(0, 1), (1, 0)], [(1, 1), (2, 0)]]
+    for n in range(3, max_n + 1):
+        assert surf.build_disc(n).fans == tuple(map(tuple, fans)), n
+        (arc,) = {fans[n - 1][-1][0], fans[n - 1][0][0]} & {fans[0][0][0], fans[0][-1][0]}
+        fans = split_oracle(fans, arc)
+    for p in range(1, max_pq + 1):
+        fans = [[(0, 0), (3, 0), (2, 0), (0, 1)], [(1, 0), (3, 1), (2, 1), (1, 1)]]
+        arc = 0
+        for _ in range(p - 1):
+            fans = split_oracle(fans, arc)
+            arc = fans[-1][-1][0]
+        arc = 1
+        for q in range(1, max_pq + 1):
+            assert surf.build_annulus(p, q).fans == tuple(map(tuple, fans)), (p, q)
+            fans = split_oracle(fans, arc)
+            arc = fans[-1][-1][0]
+
+
 class TestBuilders:
+    def test_builders_match_split_oracle(self):
+        assert_builders_match_split_oracle(60, 5)
+
+    @pytest.mark.parametrize(
+        "build", [lambda: surf.build_disc(60), lambda: surf.build_annulus(4, 3)], ids=["disc", "annulus"]
+    )
+    def test_builders_construct_once(self, monkeypatch, build):
+        calls = []
+        validate = TriangulatedSurface.validate
+
+        def counting(self):
+            calls.append(self)
+            validate(self)
+
+        monkeypatch.setattr(TriangulatedSurface, "validate", counting)
+        build()
+        assert len(calls) == 1
+
     @pytest.mark.parametrize("n", range(3, 9))
     def test_disc(self, n):
         s = surf.build_disc(n)
