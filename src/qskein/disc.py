@@ -439,6 +439,7 @@ def mu_keys(k1: MultisetKey, k2: MultisetKey) -> int:
 
 def mu(x: DiscElement, y: DiscElement) -> int:
     """max of mu over the supports of x and y."""
+    x._check(y)
     if x.is_zero() or y.is_zero():
         return 0
     return max(mu_keys(k1, k2) for k1 in x._terms for k2 in y._terms)
@@ -447,8 +448,11 @@ def mu(x: DiscElement, y: DiscElement) -> int:
 def mu_delta(n: int, delta, x: DiscElement) -> tuple[int, ...]:
     """mu of x against each arc of the triangulation delta.
 
-    Raises ValueError when delta does not triangulate the n-gon.
+    Raises ValueError when delta does not triangulate the n-gon or x
+    lives on another disc.
     """
+    if x.n != n:
+        raise ValueError(f"element lives on a disc with {x.n} marked points, not {n}")
     arcs = _triangulation(n, tuple(map(tuple, delta)))[0]
     best = [0] * len(arcs)
     for key in x._terms:
@@ -471,17 +475,14 @@ def localize(x: DiscElement, weights: dict) -> DiscElement:
     Weights may be negative; only boundary chords are invertible.
     """
     n = x.n
-    norm: dict[Chord, int] = {}
-    for c, w in weights.items():
+    for c in weights:
         c = normalize_chord(n, c)
         if not is_boundary_chord(n, c):
             raise LocalizationError(f"chord {c} is not a boundary chord")
-        norm[c] = norm.get(c, 0) + operator.index(w)
-    norm = {c: w for c, w in norm.items() if w}
-    if not norm:
+    key = multiset_key(n, weights, weights.values())
+    if not key:
         return x
-    factor = DiscElement._raw(n, {tuple(sorted(norm.items())): {0: 1}})
-    return product(x, factor)
+    return product(x, DiscElement._raw(n, {key: {0: 1}}))
 
 
 # -- triangulations --------------------------------------------------------
@@ -494,36 +495,27 @@ def boundary_chords(n: int) -> list[Chord]:
 def enumerate_triangulations(n: int) -> list[tuple[Chord, ...]]:
     """All triangulations of the disc: boundary chords plus n-3 diagonals.
 
-    Each triangulation is returned as a sorted tuple of all 2n-3 arcs.
+    Each triangulation is returned as a sorted tuple of all 2n-3 arcs,
+    and the list is sorted.  The diagonals of the polygon on the points
+    i..j come from one cached recursion over such intervals: exactly one
+    triangle sits on the side (i, j), with an apex k, i < k < j, and a
+    triangulation is that triangle, the chords (i, k) and (k, j) when
+    they are not sides, and triangulations of the polygons i..k and k..j.
+    So each triangulation is listed once.
     """
     if n < 3:
         raise ValueError("a triangulated disc needs at least 3 marked points")
 
-    def diagonal_sets(points: tuple[int, ...]) -> list[frozenset]:
-        if len(points) <= 3:
-            return [frozenset()]
-        first, last = points[0], points[-1]
-        out = []
-        for k in range(1, len(points) - 1):
-            apex = points[k]
-            left = diagonal_sets(points[: k + 1])
-            right = diagonal_sets(points[k:])
-            extra = []
-            if k > 1:
-                extra.append((min(first, apex), max(first, apex)))
-            if k < len(points) - 2:
-                extra.append((min(apex, last), max(apex, last)))
-            for dl in left:
-                for dr in right:
-                    out.append(dl | dr | frozenset(extra))
+    @functools.cache
+    def diagonals(i: int, j: int) -> list[tuple[Chord, ...]]:
+        out = [] if j - i > 1 else [()]
+        for k in range(i + 1, j):
+            own = tuple(c for c in ((i, k), (k, j)) if c[1] - c[0] > 1)
+            out += [left + right + own for left in diagonals(i, k) for right in diagonals(k, j)]
         return out
 
-    base = boundary_chords(n)
-    # Each triangulation has exactly one triangle on the edge (1, n), so
-    # the apex split lists every one of them exactly once.
-    return sorted(
-        tuple(sorted(base + sorted(diags))) for diags in diagonal_sets(tuple(range(1, n + 1)))
-    )
+    base = tuple(boundary_chords(n))
+    return sorted(tuple(sorted(base + d)) for d in diagonals(1, n))
 
 
 # -- Laurent expansion ------------------------------------------------------

@@ -59,7 +59,7 @@ def _unit_frame(form: SkewForm) -> tuple[TorusElement, ...]:
     """The basis monomials M^(e_j) of the torus of form: the initial frame."""
     n = form.rank
     return tuple(
-        TorusElement.monomial(form, tuple(int(k == j) for k in range(n))) for j in range(n)
+        TorusElement._raw(form, {(0,) * j + (1,) + (0,) * (n - j - 1): {0: 1}}) for j in range(n)
     )
 
 

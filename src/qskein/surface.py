@@ -15,6 +15,15 @@ incident arc ends ``(arc, end)``, most clockwise first, with ends 0 and
   the next end of that fan; the faces are the cycles of this map, each
   rotated to start at its smallest dart, and listed in sorted order.
 
+Construction checks only what can fail: there is at least one marked
+point, every arc end appears once, in fans of at least two ends, every
+boundary arc runs from a first end to a last one, and every face is a
+triangle.  Those imply the Euler count of every component (the faces
+use 2E - V darts in threes, so 3F = 2E - V, which is
+E = 6g + 3h + 2p - 6) and a genus that is a nonnegative integer (the
+fans are a rotation system).  Topology, ``components()``, is computed
+on demand, never during construction.
+
 All matrices attached to a triangulation (orientation matrix, skew
 adjacency matrix, exchange matrix) depend only on the fan orders, so
 arcs are homotopy-class representatives, never geometric curves.
@@ -89,7 +98,11 @@ class TriangulatedSurface:
 
     def validate(self) -> None:
         """Derive ``arcs`` and ``triangles`` from the fans, checking that
-        the fans describe a triangulated surface."""
+        the fans describe a triangulated surface: at least one marked
+        point, every arc end once in fans of at least two ends, boundary
+        arcs from a first end to a last one, and triangular faces.  The
+        Euler count and genus of each component follow from these, so
+        they are not checked; ``components()`` computes them on demand."""
         if not self.fans:
             raise ValueError("a surface needs at least one marked point")
         at: dict[ArcEnd, tuple[int, int]] = {}
@@ -131,17 +144,6 @@ class TriangulatedSurface:
             triangles.append(tuple(face))
         self.arcs: tuple[Arc, ...] = tuple(arcs)
         self.triangles: tuple[tuple[Dart, Dart, Dart], ...] = tuple(triangles)
-
-        # Topological counts must close up per component.
-        for comp in self.components():
-            g, h = comp["genus"], comp["boundaries"]
-            if g < 0:
-                raise ValueError("negative genus: inconsistent triangulation data")
-            count = 6 * g + 3 * h + 2 * len(comp["points"]) - 6
-            if len(comp["arcs"]) != count:
-                raise ValueError(
-                    f"component has {len(comp['arcs'])} arcs, formula gives {count}"
-                )
 
     # -- topology -----------------------------------------------------------
 
@@ -189,17 +191,9 @@ class TriangulatedSurface:
             arcs = sorted(
                 i for i, a in enumerate(self.arcs) if find(a.ends[0]) == root
             )
-            v = len(pts)
-            e = len(arcs)
-            f = tri_of.get(root, 0)
             h = circles.get(root, 0)
-            chi = v - e + f
-            if (2 - h - chi) % 2 != 0:
-                raise ValueError("non-integer genus: inconsistent triangulation data")
-            g = (2 - h - chi) // 2
-            out.append(
-                {"points": pts, "arcs": arcs, "genus": g, "boundaries": h}
-            )
+            chi = len(pts) - len(arcs) + tri_of.get(root, 0)
+            out.append({"points": pts, "arcs": arcs, "genus": (2 - h - chi) // 2, "boundaries": h})
         return out
 
     # -- identity up to relabeling -------------------------------------------

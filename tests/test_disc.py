@@ -235,6 +235,15 @@ class TestCrossingNumbers:
         x = DiscElement.basis(5, [(2, 4)])
         assert disc.mu_delta(5, fan, x) == (0, 1, 0, 0, 0, 0, 0)
 
+    def test_elements_of_another_disc_rejected(self):
+        with pytest.raises(ValueError, match="^elements live on discs of different sizes$"):
+            disc.mu(DiscElement.basis(5, [(1, 3)]), DiscElement.basis(6, [(2, 4)]))
+        with pytest.raises(ValueError, match="^elements live on discs of different sizes$"):
+            disc.mu(DiscElement.zero(5), DiscElement.basis(6, [(2, 4)]))
+        fan = tuple(sorted(disc.boundary_chords(5) + [(1, 3), (1, 4)]))
+        with pytest.raises(ValueError, match="6 marked points, not 5"):
+            disc.mu_delta(5, fan, DiscElement.basis(6, [(2, 6)]))
+
 
 class TestLocalization:
     def test_boundary_inverse(self):
@@ -244,6 +253,41 @@ class TestLocalization:
     def test_internal_chord_rejected(self):
         with pytest.raises(LocalizationError):
             disc.localize(DiscElement.basis(4, [(1, 2)]), {(1, 3): 1})
+
+    def test_weights_are_normalised_summed_and_zeros_dropped(self):
+        x = DiscElement.basis(5, [(1, 3)])
+        assert disc.localize(x, {(2, 1): 1, (1, 2): -1}) is x
+        assert disc.localize(x, {(5, 1): 2, (1, 5): -1, (3, 4): 0}) == disc.localize(x, {(1, 5): 1})
+        with pytest.raises(LocalizationError, match=r"^chord \(2, 4\) is not a boundary chord$"):
+            disc.localize(x, {(1, 2): 0, (4, 2): 0})
+
+
+def apex_triangulations(n):
+    """enumerate_triangulations by splitting point tuples at each apex of
+    the triangle on their first and last points, sub-lists rebuilt per
+    apex."""
+
+    def diagonal_sets(points):
+        if len(points) <= 3:
+            return [frozenset()]
+        first, last = points[0], points[-1]
+        out = []
+        for k in range(1, len(points) - 1):
+            apex = points[k]
+            left = diagonal_sets(points[: k + 1])
+            right = diagonal_sets(points[k:])
+            extra = []
+            if k > 1:
+                extra.append((min(first, apex), max(first, apex)))
+            if k < len(points) - 2:
+                extra.append((min(apex, last), max(apex, last)))
+            for dl in left:
+                for dr in right:
+                    out.append(dl | dr | frozenset(extra))
+        return out
+
+    base = disc.boundary_chords(n)
+    return sorted(tuple(sorted(base + sorted(d))) for d in diagonal_sets(tuple(range(1, n + 1))))
 
 
 class TestTriangulations:
@@ -263,6 +307,10 @@ class TestTriangulations:
         assert surf.to_chords(flipped) == ((1, 2), (2, 4), (1, 4), (2, 3), (3, 4))
         back = surf.flip(flipped, 1)
         assert surf.to_chords(back) == fan4
+
+    @pytest.mark.parametrize("n", range(3, 13))
+    def test_interval_recursion_matches_the_apex_oracle(self, n):
+        assert disc.enumerate_triangulations(n) == apex_triangulations(n)
 
     @pytest.mark.parametrize("n", range(3, 11))
     def test_each_triangulation_listed_once(self, n):

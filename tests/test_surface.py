@@ -1,5 +1,7 @@
 """Triangulated surfaces: builders, flips, cuts, matrices, topology."""
 
+import itertools
+
 import pytest
 
 from qskein import disc, qseed
@@ -131,6 +133,51 @@ def oracle_check(s):
     assert sorted(corners) == [
         (p, k) for p, fan in enumerate(s.fans) for k in range(len(fan) - 1)
     ], "some adjacent fan pair is not a corner exactly once"
+    assert_euler_counts(s)
+
+
+def assert_euler_counts(s):
+    """Each component has 6g + 3h + 2p - 6 arcs for an integer genus g >= 0.
+
+    components() takes g = (2 - h - chi) // 2; were 2 - h - chi odd, the
+    floor would miss the arc count by 3."""
+    for comp in s.components():
+        g, h, p = comp["genus"], comp["boundaries"], len(comp["points"])
+        assert isinstance(g, int) and g >= 0, comp
+        assert len(comp["arcs"]) == 6 * g + 3 * h + 2 * p - 6, comp
+
+
+def fan_lists(ends):
+    """Every list of fans holding each of ends once, in fans of at least two
+    ends, each fan in every order; fans are listed by their least end."""
+    if not ends:
+        yield []
+        return
+    first, rest = ends[0], ends[1:]
+    for size in range(1, len(rest) + 1):
+        for others in itertools.combinations(rest, size):
+            left = [end for end in rest if end not in others]
+            tails = list(fan_lists(left))
+            for fan in itertools.permutations((first, *others)):
+                for tail in tails:
+                    yield [fan, *tail]
+
+
+def assert_faces_imply_euler(max_arcs):
+    """Every fan list with 1..max_arcs arcs that TriangulatedSurface
+    accepts passes assert_euler_counts, so construction needs no Euler or
+    genus check.  Returns the numbers of fan lists tried and accepted."""
+    tried = accepted = 0
+    for n_arcs in range(1, max_arcs + 1):
+        for fans in fan_lists([(a, e) for a in range(n_arcs) for e in (0, 1)]):
+            tried += 1
+            try:
+                s = TriangulatedSurface(fans)
+            except ValueError:
+                continue
+            accepted += 1
+            assert_euler_counts(s)
+    return tried, accepted
 
 
 ORACLE_FAMILIES = {
@@ -196,6 +243,27 @@ class TestValidation:
         # of arc 0 sit first in their fans.
         with pytest.raises(ValueError, match="boundary arc 0 does not run"):
             TriangulatedSurface([[(0, 0), (2, 1)], [(0, 1), (1, 0)], [(1, 1), (2, 0)]])
+
+    def test_accepted_fan_lists_satisfy_the_euler_count(self):
+        assert assert_faces_imply_euler(3) == (1958, 16)
+
+    def test_construction_never_computes_topology(self, monkeypatch):
+        annulus = surf.build_annulus(2, 2)
+        data = annulus.to_json()
+
+        def refuse(self):
+            raise AssertionError("components() called")
+
+        monkeypatch.setattr(TriangulatedSurface, "components", refuse)
+        d = surf.build_disc(6)
+        a = surf.build_annulus(2, 2)
+        assert a == annulus == TriangulatedSurface.from_json(data)
+        surf.from_chords(5, disc.enumerate_triangulations(5)[0])
+        surf.flip(d, d.internal_arcs()[0])
+        surf.flip(a, 2)
+        surf.cut(a, 2)
+        surf.cut(d, d.internal_arcs()[0])
+        surf.disjoint_union(d, a)
 
     def test_square_face_rejected(self):
         square = [[(3, 1), (0, 0)], [(0, 1), (1, 0)], [(1, 1), (2, 0)], [(2, 1), (3, 0)]]
