@@ -110,11 +110,10 @@ def _load_seed(args) -> QuantumSeed:
         if name == "annulus":
             return surf.to_seed(surf.build_annulus(1, 1))
         if name.startswith("disc:"):
-            try:
-                n = int(name.split(":", 1)[1])
-            except ValueError as exc:
-                raise InputError(f"--preset: bad disc size in {name!r}") from exc
-            return _disc_preset(n)
+            size = name[len("disc:") :]
+            if not (size.isascii() and size.isdigit()):
+                raise InputError(f"--preset: bad disc size in {name!r}")
+            return _disc_preset(int(size))
         raise InputError(f"--preset: unknown preset {name!r}")
     if getattr(args, "state", None):
         return _decode("--state", args.state, QuantumSeed.from_json)

@@ -38,6 +38,7 @@ from __future__ import annotations
 import functools
 import operator
 import random
+from itertools import repeat
 from operator import add, mul
 from typing import Iterable
 
@@ -124,14 +125,9 @@ def _smooth(n: int, over: Chord, under: Chord) -> tuple[tuple[Chord, Chord], tup
 
 def multiset_key(n: int, chords: Iterable, weights=None) -> MultisetKey:
     counts: dict[Chord, int] = {}
-    if weights is None:
-        for c in chords:
-            c = normalize_chord(n, c)
-            counts[c] = counts.get(c, 0) + 1
-    else:
-        for c, w in zip(chords, weights):
-            c = normalize_chord(n, c)
-            counts[c] = counts.get(c, 0) + operator.index(w)
+    for c, w in zip(chords, repeat(1) if weights is None else weights):
+        c = normalize_chord(n, c)
+        counts[c] = counts.get(c, 0) + operator.index(w)
     counts = {c: w for c, w in counts.items() if w}
     for c, w in counts.items():
         if w < 0 and not is_boundary_chord(n, c):
@@ -320,38 +316,22 @@ def _reduce(t: _Table, word: tuple[int, ...], rng: random.Random | None = None) 
         w, coef = stack.pop()
         size = len(w)
         twist = 0
-        if rng is None:
-            # Scan gaps d = 1, 2, ... for the first crossing (i, i + d).
-            # Nothing between a nearest crossing pair crosses its right
-            # chord, so it is admissible: this is the admissible pair
-            # minimising (j - i, i).  A word with no crossing is a leaf,
-            # and its twist is the sum of the pairs scanned.
-            for d in range(1, size):
-                for i in range(size - d):
-                    lam = pairs[w[i] * mm + w[i + d]]
-                    if lam is None:
-                        break
-                    twist += lam
-                else:
-                    continue
-                j = i + d
-                break
+        # Scan gaps d = 1, 2, ... for the first crossing (i, i + d).
+        # Nothing between a nearest crossing pair crosses its right chord,
+        # so it is admissible: this is the admissible pair minimising
+        # (j - i, i).  A word with no crossing is a leaf, and its twist is
+        # the sum of the pairs scanned, which is every pair.
+        for d in range(1, size):
+            for i in range(size - d):
+                lam = pairs[w[i] * mm + w[i + d]]
+                if lam is None:
+                    break
+                twist += lam
             else:
-                j = None
+                continue
+            j = i + d
+            break
         else:
-            admissible = [
-                (i, j)
-                for i in range(size)
-                for j in range(i + 1, size)
-                if pairs[w[i] * mm + w[j]] is None
-                and all(pairs[w[k] * mm + w[j]] is not None for k in range(i + 1, j))
-            ]
-            if admissible:
-                i, j = admissible[rng.randrange(len(admissible))]
-            else:
-                j = None
-                twist = sum(pairs[w[i] * mm + w[j]] for i in range(size) for j in range(i + 1, size))
-        if j is None:
             # Leaves are noncrossing by construction: key them by counts.
             counts: dict[int, int] = {}
             for x in w:
@@ -359,6 +339,15 @@ def _reduce(t: _Table, word: tuple[int, ...], rng: random.Random | None = None) 
             key = tuple(sorted(counts.items()))
             coeff_acc(out, key, coeff_shift(coef, twist))
             continue
+        if rng is not None:
+            admissible = [
+                (i, j)
+                for i in range(size)
+                for j in range(i + 1, size)
+                if pairs[w[i] * mm + w[j]] is None
+                and all(pairs[w[k] * mm + w[j]] is not None for k in range(i + 1, j))
+            ]
+            i, j = admissible[rng.randrange(len(admissible))]
         # Commute w[j] left to sit just after w[i]; each swap with a
         # noncrossing entry costs v^(2 L).
         right = w[j]
@@ -375,9 +364,11 @@ def reduce_word(n: int, word, rng: random.Random | None = None) -> DiscElement:
     """Canonical form of a product of chords, leftmost chord on top.
 
     The word lists chords from over to under; the result is the product
-    of the corresponding basis arcs.  When rng is given, the crossing
-    resolved at each step is chosen at random among the admissible ones
-    (used to check that the rewriting is confluent).
+    of the corresponding basis arcs.  Both schedules share one crossing
+    scan, which also finds the leaves and their twists.  Without rng the
+    scan's crossing is resolved; when rng is given and the scan finds a
+    crossing, the one resolved is chosen at random among the admissible
+    ones (used to check that the rewriting is confluent).
     """
     t = _table(n)
     m = t.m

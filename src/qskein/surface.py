@@ -418,14 +418,19 @@ def flip(s: TriangulatedSurface, j: int) -> TriangulatedSurface:
 
     The new arc reuses index j, so seed-to-surface index maps stay
     stable across flips.
+
+    Every internal arc flips, so there is no self-fold check: no
+    triangle holds both darts of one arc.  If one did, a dart of j would
+    be followed by the other, which leaves from the fan end after the
+    end the first one arrives at; so that end of j would come after
+    itself in its fan.  (A self-folded triangle needs a puncture, and
+    every marked point here lies on the boundary.)
     """
     if not 0 <= j < s.n_arcs:
         raise FlipError(f"arc {j} does not exist (arcs are 0..{s.n_arcs - 1})")
     if s.arcs[j].boundary:
         raise FlipError(f"boundary arc {j} cannot be flipped")
     (t1,) = [tri for tri in s.triangles if (j, 0) in tri]
-    if (j, 1) in t1:
-        raise FlipError(f"arc {j} borders the same triangle twice (not flippable)")
     (t2,) = [tri for tri in s.triangles if (j, 1) in tri]
     # The new arc runs from where the dart after (j, 0) arrives to where
     # the dart after (j, 1) arrives, next after each arriving end in its fan.

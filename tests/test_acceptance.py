@@ -10,7 +10,7 @@ import warnings
 
 import pytest
 
-from qskein import disc, verify
+from qskein import disc, qseed, verify
 
 CRITERIA = [name for name, _, _ in verify.CHECKS]
 IDS = [f"{i + 1:02d}-{name}" for i, name in enumerate(CRITERIA)]
@@ -57,3 +57,40 @@ def test_warnings_inside_qskein_are_errors():
     # pyproject.toml escalates warnings attributed to qskein modules only.
     with pytest.raises(DeprecationWarning):
         warnings.warn_explicit("stale", DeprecationWarning, "disc.py", 1, module="qskein.disc")
+
+
+# A failing check is a FAIL line with a detail, not an exception.
+
+
+def test_compatibility_error_on_the_annulus_is_a_fail_line(monkeypatch):
+    check = qseed.QuantumSeed.check_compatibility
+
+    def rank_4_raises(seed):
+        if seed.n == 4:
+            raise qseed.CompatibilityError("injected")
+        return check(seed)
+
+    monkeypatch.setattr(qseed.QuantumSeed, "check_compatibility", rank_4_raises)
+    (result,) = verify.run(["compatibility"])
+    assert not result["ok"]
+    assert result["detail"] == "annulus: injected"
+
+
+def test_shifted_expansion_fails_flip_mutation(monkeypatch):
+    expand = disc.expand_laurent
+    monkeypatch.setattr(disc, "expand_laurent", lambda x, delta: expand(x, delta).shift(1))
+    (result,) = verify.run(["flip-mutation"])
+    assert not result["ok"]
+    assert result["detail"].startswith("variable mismatch: n=4, ")
+
+
+def test_accepting_everything_fails_membership(monkeypatch):
+    monkeypatch.setattr(qseed, "upper_membership", lambda x, seed: True)
+    (result,) = verify.run(["membership"])
+    assert not result["ok"]
+    assert result["detail"] == "pentagon M^(-e_1) accepted"
+
+
+def test_unknown_check_name_raises():
+    with pytest.raises(KeyError, match="unknown check"):
+        verify.run(["nope"])

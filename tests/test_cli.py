@@ -274,6 +274,10 @@ class TestSeed:
         [
             ("disc:x", "bad disc size in 'disc:x'"),
             ("disc:2", "a disc needs at least 3 marked points"),
+            ("disc:1_0", "bad disc size in 'disc:1_0'"),
+            ("disc: 5", "bad disc size in 'disc: 5'"),
+            ("disc:+5", "bad disc size in 'disc:+5'"),
+            ("disc:\u0665", "bad disc size in 'disc:\u0665'"),
         ],
     )
     def test_bad_disc_preset_is_an_input_error(self, capsys, preset, message):

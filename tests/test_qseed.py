@@ -723,3 +723,31 @@ class TestMatrixUtilities:
         assert qseed.banff_step(self.PENTAGON) == (0, 1)
         assert qseed.banff_step(self.CYCLE) is None
         assert qseed.banff_step([[0]]) is None
+
+
+ZERO = QCoeff.zero()
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: disc.enumerate_triangulations(2), "a triangulated disc needs at least 3 marked points"),
+        (lambda: surf.build_annulus(0, 1), "annulus needs at least one marked point per boundary"),
+        (lambda: qseed.matrix_mutate([[0, 1], [-1, 0]], 2), "index 2 out of range"),
+        (
+            lambda: TorusElement.monomial(SkewForm([[0]]), (1,)) ** -1,
+            "use monomial inverses or exact division for negative powers",
+        ),
+        (lambda: QCoeff.q(1) ** -1, re.escape("negative powers are not defined in Z[v, v^-1]")),
+        (ZERO.min_v, "zero has no v-valuation"),
+        (ZERO.max_v, "zero has no v-degree"),
+    ],
+    ids=["triangulations-of-2", "annulus-0-1", "mutate-index", "torus-pow", "coeff-pow", "min-v", "max-v"],
+)
+def test_input_errors(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
+
+def test_zero_is_in_the_upper_algebra(pentagon):
+    assert qseed.upper_membership(TorusElement.zero(pentagon.ambient), pentagon)

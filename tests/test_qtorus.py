@@ -437,6 +437,16 @@ class TestPackedKernel:
         got = self.assert_matches_oracle(x, y, lam)
         assert tuple(a + b for a, b in zip(alpha1, beta1)) not in got
 
+    def test_packed_sum_that_cancels_leaves_no_key(self):
+        # x = (1 + q)(M^0 + M^1) and y = (1 + q)(M^1 - M^0) under the zero
+        # form: both sides have two-term coefficients, so the packed path
+        # runs, and the two products landing on M^1 cancel exactly.
+        x = {(0,): {0: 1, 2: 1}, (1,): {0: 1, 2: 1}}
+        y = {(1,): {0: 1, 2: 1}, (0,): {0: -1, 2: -1}}
+        got = self.assert_matches_oracle(x, y, ((0,),))
+        assert (1,) not in got
+        assert got == {(0,): {0: -1, 2: -2, 4: -1}, (2,): {0: 1, 2: 2, 4: 1}}
+
     def test_rank_zero_and_empty(self):
         assert torus_mul({}, {}, ()) == {}
         assert torus_mul({(): {0: 2}}, {}, ()) == {}

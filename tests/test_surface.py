@@ -166,7 +166,9 @@ def fan_lists(ends):
 def assert_faces_imply_euler(max_arcs):
     """Every fan list with 1..max_arcs arcs that TriangulatedSurface
     accepts passes assert_euler_counts, so construction needs no Euler or
-    genus check.  Returns the numbers of fan lists tried and accepted."""
+    genus check; no face holds both darts of one arc, and every internal
+    arc flips, so flip needs no self-fold check.  Returns the numbers of
+    fan lists tried and accepted."""
     tried = accepted = 0
     for n_arcs in range(1, max_arcs + 1):
         for fans in fan_lists([(a, e) for a in range(n_arcs) for e in (0, 1)]):
@@ -177,6 +179,10 @@ def assert_faces_imply_euler(max_arcs):
                 continue
             accepted += 1
             assert_euler_counts(s)
+            for face in s.triangles:
+                assert len({a for a, _ in face}) == 3, face
+            for j in s.internal_arcs():
+                surf.flip(s, j)
     return tried, accepted
 
 
