@@ -103,6 +103,18 @@ def _load_delta(n: int, label: str, text: str) -> tuple:
 
 
 def _load_seed(args) -> QuantumSeed:
+    """The --preset or --state seed; a --state one must pass Lambda B = D iota
+    (``seed check`` reads through ``_read_seed`` and reports that itself)."""
+    seed = _read_seed(args)
+    if not args.preset:
+        try:
+            seed.check_compatibility()
+        except CompatibilityError as exc:
+            raise InputError(f"--state: {exc}") from exc
+    return seed
+
+
+def _read_seed(args) -> QuantumSeed:
     if getattr(args, "preset", None):
         name = args.preset
         if name == "pentagon":
@@ -231,18 +243,15 @@ def cmd_skein_mu(args) -> int:
 
 def cmd_seed_mutate(args) -> int:
     seed = _load_seed(args)
-    try:
-        mutated = seed.mutate(args.at)
-    except CompatibilityError as exc:
-        raise InputError(f"--state: {exc}") from exc
-    except (ValueError, IndexError) as exc:
-        raise InputError(f"--at: {exc}") from exc
+    if args.at not in seed.ex:
+        raise InputError(f"--at: index {args.at} is not exchangeable")
+    mutated = seed.mutate(args.at)
     _emit(args, mutated.to_json, lambda: _seed_text(mutated))
     return 0
 
 
 def cmd_seed_check(args) -> int:
-    seed = _load_seed(args)
+    seed = _read_seed(args)
     try:
         diag = seed.check_compatibility()
     except CompatibilityError as exc:
@@ -260,9 +269,12 @@ def cmd_seed_check(args) -> int:
 def cmd_seed_freeze(args) -> int:
     seed = _load_seed(args)
     try:
-        frozen = seed.freeze({int(t) for t in args.drop.split(",") if t.strip() != ""})
+        drop = {int(t) for t in args.drop.split(",") if t.strip() != ""}
     except ValueError as exc:
         raise InputError(f"--drop: {exc}") from exc
+    if bad := sorted(drop - set(seed.ex)):
+        raise InputError(f"--drop: cannot freeze non-exchangeable indices {bad}")
+    frozen = seed.freeze(drop)
     _emit(args, frozen.to_json, lambda: _seed_text(frozen))
     return 0
 
@@ -273,12 +285,9 @@ def cmd_seed_enumerate(args) -> int:
     if args.max_depth < 0:
         raise InputError("--max-depth must be nonnegative")
     seed = _load_seed(args)
-    try:
-        seeds, truncated = qseed.enumerate_seeds(
-            seed, max_seeds=args.max_seeds, max_depth=args.max_depth
-        )
-    except CompatibilityError as exc:
-        raise InputError(f"--state: {exc}") from exc
+    seeds, truncated = qseed.enumerate_seeds(
+        seed, max_seeds=args.max_seeds, max_depth=args.max_depth
+    )
     _emit(
         args,
         lambda: {
@@ -305,10 +314,7 @@ def cmd_seed_member(args) -> int:
         return el
 
     el = _decode("--element", args.element, decode)
-    try:
-        member = qseed.upper_membership(el, seed)
-    except CompatibilityError as exc:
-        raise InputError(f"--state: {exc}") from exc
+    member = qseed.upper_membership(el, seed)
     _emit(args, lambda: {"member": member}, lambda: f"member: {str(member).lower()}")
     return 0 if member else 1
 

@@ -303,11 +303,9 @@ def b_matrix(s: TriangulatedSurface) -> list[list[int]]:
 
 
 def to_seed(s: TriangulatedSurface) -> QuantumSeed:
-    seed = QuantumSeed.initial(
-        SkewForm(lambda_matrix(s)), b_matrix(s), s.internal_arcs()
-    )
-    seed.check_compatibility()
-    return seed
+    """The initial seed, not checked: Lambda B = 4 iota by construction, and
+    the ``compatibility`` suite and ``seed check`` report that check."""
+    return QuantumSeed.initial(SkewForm(lambda_matrix(s)), b_matrix(s), s.internal_arcs())
 
 
 # -- builders ----------------------------------------------------------------
@@ -348,17 +346,14 @@ def from_chords(n: int, arcs) -> TriangulatedSurface:
     Chords join marked points 1..n, numbered clockwise; marked point p is
     surface point p - 1.  The fan at p orders the other endpoints u of
     its chords by (p - u) mod n.  Chords that do not triangulate the
-    n-gon (out of range, repeated, crossing, or too few or many) raise
-    ValueError.
+    n-gon raise ValueError; each is read by ``disc.normalize_chord``, the
+    one chord rule, then checked for repeats, crossings and count.
     """
-    from .disc import crosses
+    from .disc import crosses, normalize_chord
 
     if n < 3:
         raise ValueError("a triangulated disc needs at least 3 marked points")
-    chords = [tuple(sorted((operator.index(c[0]), operator.index(c[1])))) for c in arcs]
-    for a, b in chords:
-        if not 1 <= a < b <= n:
-            raise ValueError(f"({a}, {b}) is not a chord of the {n}-gon")
+    chords = [normalize_chord(n, c) for c in arcs]
     if len(set(chords)) != len(chords):
         raise ValueError("repeated chords")
     for k, c1 in enumerate(chords):

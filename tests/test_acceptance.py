@@ -76,6 +76,23 @@ def test_compatibility_error_on_the_annulus_is_a_fail_line(monkeypatch):
     assert result["detail"] == "annulus: injected"
 
 
+def test_compatibility_is_checked_once_per_seed_of_the_suite(monkeypatch):
+    # Seeds of triangulations are compatible by construction; only the
+    # compatibility suite checks them, once each (65 seeds).
+    calls = []
+    check = qseed.QuantumSeed.check_compatibility
+
+    def counted(seed):
+        calls.append(seed)
+        return check(seed)
+
+    monkeypatch.setattr(qseed.QuantumSeed, "check_compatibility", counted)
+    for suites in (["compatibility"], ["all"]):
+        calls.clear()
+        assert all(verify.passed(r) for r in verify.run(suites))
+        assert len(calls) == 65, suites
+
+
 def test_shifted_expansion_fails_flip_mutation(monkeypatch):
     expand = disc.expand_laurent
     monkeypatch.setattr(disc, "expand_laurent", lambda x, delta: expand(x, delta).shift(1))

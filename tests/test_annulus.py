@@ -214,6 +214,12 @@ class TestLoop:
 
     def test_degree_zero(self, model):
         assert model.grading(model.ell) == (0, 0)
+        assert model.grading(TorusElement.zero(model.ell.form)) == (0, 0)
+
+    def test_inhomogeneous_element_names_its_degrees(self, model):
+        message = r"^element is not homogeneous: degrees \[\(1, 1\), \(2, 0\)\]$"
+        with pytest.raises(ValueError, match=message):
+            model.grading(model.a + model.x(0))
 
     def test_boundary_loops_are_central(self, model):
         for central in [model.a, model.b]:
@@ -294,6 +300,21 @@ class TestIdentities:
         monkeypatch.setattr(QuantumSeed, "mutate", counting)
         AnnulusModel(bound=6).verify_identities(irange=1)
         assert calls == [X0, X1]
+
+    def test_a_variable_without_a_degree_is_reported_inhomogeneous(self, monkeypatch):
+        grading = AnnulusModel.grading
+
+        def ell_only(self, x):
+            if x != self.ell:
+                raise ValueError("injected")
+            return grading(self, x)
+
+        monkeypatch.setattr(AnnulusModel, "grading", ell_only)
+        rows = AnnulusModel(bound=4).verify_identities(irange=1)
+        rows = [r for r in rows if r["name"].startswith("deg(x_")]
+        assert [r["name"] for r in rows] == ["deg(x_-1) = (1,1)", "deg(x_0) = (1,1)", "deg(x_1) = (1,1)"]
+        for r in rows:
+            assert (r["ok"], r["lhs"], r["rhs"]) == (False, "inhomogeneous", "(1, 1)")
 
     def test_quasi_commutation_of_consecutive_variables(self, model):
         for i in range(-2, 3):

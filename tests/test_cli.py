@@ -9,9 +9,10 @@ import pytest
 
 from qskein import cli, verify
 from qskein.annulus import AnnulusModel
-from qskein.qseed import QuantumSeed
+from qskein.qcoeff import DivisionFailure
+from qskein.qseed import CompatibilityError, QuantumSeed
 from qskein.qtorus import SkewForm, TorusElement
-from qskein.surface import TriangulatedSurface
+from qskein.surface import TriangulatedSurface, build_disc
 
 FAN5 = "[[1,2],[1,3],[1,4],[1,5],[2,3],[3,4],[4,5]]"
 
@@ -257,6 +258,24 @@ class TestSeed:
         assert out == ""
         assert err.startswith("input error: --state: (Lambda B)[1][0] = 1, expected 0")
 
+    @pytest.mark.parametrize("verb", [["mutate", "--at", "1"], ["freeze", "--drop", "1"]])
+    def test_state_incompatible_outside_the_column_used_is_an_input_error(self, capsys, verb):
+        data = cli._disc_preset(5).to_json()
+        data["B"][0][1] += 1  # a frozen row: B stays skew on the exchangeable part
+        with pytest.raises(CompatibilityError) as exc:
+            QuantumSeed.from_json(data).check_compatibility()
+        code, out, err = run_cli(capsys, "seed", verb[0], "--state", json.dumps(data), *verb[1:])
+        assert (code, out, err) == (2, "", f"input error: --state: {exc.value}\n")
+
+    @pytest.mark.parametrize(
+        "drop, message",
+        [("1,x", "invalid literal for int() with base 10: 'x'"),
+         ("0,1,6", "cannot freeze non-exchangeable indices [0, 6]")],
+    )
+    def test_freeze_of_a_bad_drop_is_an_input_error(self, capsys, drop, message):
+        code, out, err = run_cli(capsys, "seed", "freeze", "--preset", "pentagon", "--drop", drop)
+        assert (code, out, err) == (2, "", f"input error: --drop: {message}\n")
+
     def test_check_reports_a_nonpositive_diagonal_entry(self, capsys):
         lam = SkewForm([[0, 1], [-1, 0]])
         state = json.dumps(QuantumSeed.initial(lam, [[0], [-1]], (0,)).to_json())
@@ -474,6 +493,77 @@ class TestVerifyVerbs:
         code, out, _ = run_cli(capsys, "verify", "catalan")
         assert code == 0
         assert out.splitlines()[0].startswith("PASS catalan")
+
+
+SURFACE5 = json.dumps(build_disc(5).to_json())
+
+# verb: (argv, the owner and name of the call that computes its result,
+# the exception types the verb documents as input errors).
+FAULT_SITES = {
+    "skein reduce": (["skein", "reduce", "--n", "4", "--word", "[[1,3]]"], cli.disc, "reduce_word", ()),
+    "skein product": (
+        ["skein", "product", "--n", "4", "--x", "[[1,3]]", "--y", "[[2,4]]"], cli.disc, "product", ()
+    ),
+    "skein expand": (
+        ["skein", "expand", "--n", "5", "--x", "[[2,4]]", "--delta", FAN5], cli.disc, "expand_laurent", ()
+    ),
+    "skein mu": (["skein", "mu", "--n", "5", "--x", "[[2,4]]", "--y", "[[1,3]]"], cli.disc, "mu", ()),
+    "skein mu --delta": (
+        ["skein", "mu", "--n", "5", "--x", "[[2,4]]", "--delta", FAN5], cli.disc, "mu_delta", ()
+    ),
+    "seed mutate": (["seed", "mutate", "--preset", "pentagon", "--at", "1"], QuantumSeed, "mutate", ()),
+    "seed check": (
+        ["seed", "check", "--preset", "pentagon"], QuantumSeed, "check_compatibility",
+        (CompatibilityError,),
+    ),
+    "seed freeze": (["seed", "freeze", "--preset", "pentagon", "--drop", "1"], QuantumSeed, "freeze", ()),
+    "seed enumerate": (["seed", "enumerate", "--preset", "pentagon"], cli.qseed, "enumerate_seeds", ()),
+    "seed member": (
+        ["seed", "member", "--preset", "pentagon", "--element", "[0,1,0,0,0,0,0]"],
+        cli.qseed, "upper_membership", (),
+    ),
+    "surface build": (["surface", "build", "--kind", "disc", "--points", "5"], cli.surf, "build_disc", ()),
+    "surface flip": (
+        ["surface", "flip", "--surface", SURFACE5, "--arc", "2"], cli.surf, "flip", (cli.surf.FlipError,)
+    ),
+    "surface cut": (
+        ["surface", "cut", "--surface", SURFACE5, "--arc", "2"], cli.surf, "cut",
+        (cli.surf.CutError, NotImplementedError),
+    ),
+    "surface matrices": (["surface", "matrices", "--surface", SURFACE5], cli.surf, "to_seed", ()),
+    "annulus verify": (["annulus", "verify", "--range", "1"], AnnulusModel, "verify_identities", ()),
+    "verify": (["verify", "q1"], cli.verify, "run", ()),
+}
+FAULTS = (ValueError, CompatibilityError, DivisionFailure, RuntimeError)
+
+
+@pytest.mark.parametrize(
+    "verb, fault",
+    [(v, f) for v, site in FAULT_SITES.items() for f in FAULTS if f not in site[3]],
+    ids=lambda p: getattr(p, "__name__", p),
+)
+def test_a_fault_inside_the_library_is_an_internal_error(capsys, monkeypatch, verb, fault):
+    """Only the input is blamed: whatever the library raises is exit 3."""
+    argv, owner, name, _ = FAULT_SITES[verb]
+
+    def broken(*args, **kwargs):
+        raise fault("injected")
+
+    monkeypatch.setattr(owner, name, broken)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (3, "", f"internal error: {fault.__name__}: injected\n")
+
+
+def test_fault_sites_cover_every_verb():
+    (verbs,) = cli.build_parser()._subparsers._group_actions
+    names = set()
+    for verb, parser in verbs.choices.items():
+        if parser._subparsers is None:
+            names.add(verb)
+        else:
+            (ops,) = parser._subparsers._group_actions
+            names.update(f"{verb} {op}" for op in ops.choices)
+    assert names == {" ".join(v.split()[:2]) for v in FAULT_SITES}
 
 
 class TestParserBoundaries:

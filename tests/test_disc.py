@@ -188,6 +188,7 @@ class TestElementAlgebra:
 
     def test_grading(self):
         assert DiscElement.basis(4, [(1, 2), (2, 3)]).grading() == (1, 2, 1, 0)
+        assert DiscElement.zero(4).grading() == (0, 0, 0, 0)
         with pytest.raises(InhomogeneousError) as exc:
             (DiscElement.basis(4, [(1, 2)]) + DiscElement.basis(4, [(1, 3)])).grading()
         assert len(exc.value.degrees) == 2
@@ -224,6 +225,7 @@ class TestCrossingNumbers:
     def test_mu(self):
         assert disc.mu(DiscElement.basis(4, [(1, 3)]), DiscElement.basis(4, [(2, 4)])) == 1
         assert disc.mu(DiscElement.basis(4, [(1, 2)]), DiscElement.basis(4, [(2, 4)])) == 0
+        assert disc.mu(DiscElement.zero(4), DiscElement.basis(4, [(2, 4)])) == 0
 
     def test_mu_keys_weighted(self):
         k1 = disc.multiset_key(4, [(1, 3)], [2])
@@ -363,6 +365,19 @@ class TestExpansion:
         fan4 = ((1, 2), (1, 3), (1, 4), (2, 3), (3, 4))
         e = disc.expand_laurent(DiscElement.basis(4, [(1, 3)]), fan4)
         assert e.support() == [(0, 1, 0, 0, 0)]
+
+    def test_a_chord_image_off_the_triangulation_is_rejected(self, monkeypatch):
+        fan4 = ((1, 2), (1, 3), (1, 4), (2, 3), (3, 4))
+        monkeypatch.setattr(disc, "product", lambda x, y: DiscElement.basis(4, [(2, 4)]))
+        disc._triangulation.cache_clear()
+        try:
+            with pytest.raises(
+                ValueError,
+                match=r"^product is not supported on the triangulation: chord \(2, 4\) appears$",
+            ):
+                disc.expand_laurent(DiscElement.basis(4, [(2, 4)]), fan4)
+        finally:
+            disc._triangulation.cache_clear()
 
     def test_localized_boundary_expansion(self):
         fan4 = ((1, 2), (1, 3), (1, 4), (2, 3), (3, 4))

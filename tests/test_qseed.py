@@ -375,6 +375,7 @@ class TestQuasiCommutation:
         y = TorusElement.monomial(form, (0, 1))
         assert qseed.quasi_commutation_exponent(x, y) == 1
         assert qseed.quasi_commutation_exponent(y, x) == -1
+        assert qseed.quasi_commutation_exponent(TorusElement.zero(form), y) == 0
 
     def test_non_quasi_commuting_pair_raises(self):
         form = SkewForm([[0, 1], [-1, 0]])

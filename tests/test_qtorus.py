@@ -207,6 +207,18 @@ poly_elements = st.dictionaries(
 ).map(lambda d: TorusElement(FORM, d))
 
 
+@given(poly_elements, poly_elements)
+@settings(max_examples=100)
+def test_the_torus_is_a_domain(x, y):
+    """x y and y x are zero together, and otherwise both lead at lexmax(x) +
+    lexmax(y): quasi_commutation_exponent relies on it."""
+    p, r = x * y, y * x
+    assert p.is_zero() == r.is_zero() == (x.is_zero() or y.is_zero())
+    if not p.is_zero():
+        lead = tuple(a + b for a, b in zip(max(x.support()), max(y.support())))
+        assert max(p.support()) == max(r.support()) == lead
+
+
 BELOW_FLOOR = "no exact quotient (leading term below the lex floor)"
 
 

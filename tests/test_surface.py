@@ -167,8 +167,9 @@ def assert_faces_imply_euler(max_arcs):
     """Every fan list with 1..max_arcs arcs that TriangulatedSurface
     accepts passes assert_euler_counts, so construction needs no Euler or
     genus check; no face holds both darts of one arc, and every internal
-    arc flips, so flip needs no self-fold check.  Returns the numbers of
-    fan lists tried and accepted."""
+    arc flips, so flip needs no self-fold check; and the surface's seed has
+    Lambda B = 4 iota, so to_seed needs no compatibility check.  Returns the
+    numbers of fan lists tried and accepted."""
     tried = accepted = 0
     for n_arcs in range(1, max_arcs + 1):
         for fans in fan_lists([(a, e) for a in range(n_arcs) for e in (0, 1)]):
@@ -183,6 +184,7 @@ def assert_faces_imply_euler(max_arcs):
                 assert len({a for a, _ in face}) == 3, face
             for j in s.internal_arcs():
                 surf.flip(s, j)
+            assert surf.to_seed(s).check_compatibility() == dict.fromkeys(s.internal_arcs(), 4)
     return tried, accepted
 
 
