@@ -126,12 +126,12 @@ def _smooth(n: int, over: Chord, under: Chord) -> tuple[tuple[Chord, Chord], tup
 def multiset_key(n: int, chords: Iterable, weights=None) -> MultisetKey:
     counts: dict[Chord, int] = {}
     for c, w in zip(chords, repeat(1) if weights is None else weights):
-        c = normalize_chord(n, c)
-        counts[c] = counts.get(c, 0) + operator.index(w)
-    counts = {c: w for c, w in counts.items() if w}
-    for c, w in counts.items():
+        c, w = normalize_chord(n, c), operator.index(w)
+        # Only boundary chords are invertible, so only their weights may cancel.
         if w < 0 and not is_boundary_chord(n, c):
             raise ValueError(f"internal chord {c} cannot have negative weight {w}")
+        counts[c] = counts.get(c, 0) + w
+    counts = {c: w for c, w in counts.items() if w}
     for c1 in counts:
         for c2 in counts:
             if c1 < c2 and crosses(c1, c2):

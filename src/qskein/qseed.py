@@ -8,8 +8,8 @@ monomials of T_0, so its Lambda equals the ambient form.  Mutation stays
 inside T_0: every new cluster variable is stored by its Laurent
 expansion in the initial torus.  Mutation reads the new Lambda from the
 closed formula E^T Lambda E, not from torus products, so it trusts
-Lambda: ``from_json`` checks it against the frame, and
-``quasi_commutation_exponent`` remains the product-based oracle.  The
+Lambda: ``check_frame``, which ``from_json`` runs, checks it against
+the frame with ``quasi_commutation_exponent``, the product-based oracle.  The
 columns of Lambda B, in the compatibility check and in mutation, and the
 new row of Lambda are all read from ``SkewForm.act``.
 ``upper_membership`` divides by the X'_i that ``mutate`` builds, so the
@@ -132,6 +132,20 @@ class QuantumSeed:
                     raise _expected_zero(k, c, entry)
         return d
 
+    def check_frame(self, rows) -> None:
+        """Raise CompatibilityError unless frame variables i < j quasi-commute
+        with exponent Lambda[i][j], for every pair that meets rows."""
+        rows = set(rows)
+        for i, j in combinations(range(self.n), 2):
+            if i in rows or j in rows:
+                c = quasi_commutation_exponent(self.frame[i], self.frame[j])
+                if c != self.lam.matrix[i][j]:
+                    raise CompatibilityError(
+                        f"frame variables {i} and {j} quasi-commute with exponent {c}, "
+                        f"but lambda[{i}][{j}] = {self.lam.matrix[i][j]}",
+                        entry=(i, j),
+                    )
+
     # -- monomials in the frame -------------------------------------------
 
     def frame_monomial(self, gamma) -> TorusElement:
@@ -253,15 +267,7 @@ class QuantumSeed:
         b = payload.int_matrix(*payload.field(data, "B"), n, len(ex))
         seed = cls(frame[0].form, lam, b, ex, frame)
         # mutate trusts lambda, so outside input must agree with its frame.
-        for i in range(n):
-            for j in range(i + 1, n):
-                c = quasi_commutation_exponent(frame[i], frame[j])
-                if c != lam.matrix[i][j]:
-                    raise CompatibilityError(
-                        f"frame variables {i} and {j} quasi-commute with exponent {c}, "
-                        f"but lambda[{i}][{j}] = {lam.matrix[i][j]}",
-                        entry=(i, j),
-                    )
+        seed.check_frame(range(n))
         return seed
 
     def __repr__(self) -> str:
@@ -278,7 +284,7 @@ def quasi_commutation_exponent(x: TorusElement, y: TorusElement) -> int:
         return 0
     alpha = max(p.support())
     s = p.coefficient(alpha).min_v() - r.coefficient(alpha).min_v()
-    if s % 2 != 0 or p != r.shift(s):
+    if p != r.shift(s):
         raise CompatibilityError(f"elements do not quasi-commute (shift {s})")
     return s // 2
 
@@ -400,23 +406,21 @@ def sources(a) -> list[int]:
 
 
 def is_acyclic(a) -> bool:
-    """No index cycle i_1, ..., i_n = i_1 with A[i_(j+1)][i_j] > 0."""
+    """No index cycle i_1, ..., i_n = i_1 with A[i_(j+1)][i_j] > 0: taking
+    away sinks with their arrows, one at a time, takes away every index."""
     a = SkewForm(a).matrix
-    n = len(a)
-    color = [0] * n  # 0 unvisited, 1 on stack, 2 done
-
-    def dfs(u) -> bool:
-        color[u] = 1
-        for w in range(n):
-            if a[w][u] > 0:
-                if color[w] == 1:
-                    return False
-                if color[w] == 0 and not dfs(w):
-                    return False
-        color[u] = 2
-        return True
-
-    return all(color[u] or dfs(u) for u in range(n))
+    incoming = [sum(row[w] < 0 for row in a) for w in range(len(a))]
+    stack = sinks(a)
+    taken = 0
+    while stack:
+        u = stack.pop()
+        taken += 1
+        for w, row in enumerate(a):
+            if row[u] > 0:
+                incoming[w] -= 1
+                if not incoming[w]:
+                    stack.append(w)
+    return taken == len(a)
 
 
 def banff_step(a):

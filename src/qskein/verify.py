@@ -22,7 +22,7 @@ from itertools import combinations
 from . import disc
 from . import qseed
 from . import surface as surf
-from .annulus import AnnulusModel
+from .annulus import X0, X1, AnnulusModel
 from .qcoeff import QCoeff
 from .qtorus import TorusElement
 
@@ -104,17 +104,18 @@ def check_compatibility(rng: random.Random) -> tuple[bool, str]:
 # ---------------------------------------------------------------------------
 
 
-def _lambda_row_matches_frame(seed: qseed.QuantumSeed, i: int) -> bool:
-    """Row i of Lambda against the torus products of the frame (the oracle)."""
+def _mismatch(mut: qseed.QuantumSeed, i: int, flipped: qseed.QuantumSeed, x) -> str | None:
+    """What first differs between the seed mutated at i and the flipped seed
+    whose new variable is x: B, Lambda, Lambda against the frame, or X'_i."""
+    if mut.b != flipped.b:
+        return "B"
+    if mut.lam.matrix != flipped.lam.matrix:
+        return "Lambda"
     try:
-        return all(
-            qseed.quasi_commutation_exponent(seed.frame[i], seed.frame[j])
-            == seed.lam.matrix[i][j]
-            for j in range(seed.n)
-            if j != i
-        )
+        mut.check_frame((i,))
     except qseed.CompatibilityError:
-        return False
+        return "Lambda/frame"
+    return None if mut.frame[i] == x else "variable"
 
 
 def check_flip_mutation(rng: random.Random) -> tuple[bool, str]:
@@ -126,34 +127,18 @@ def check_flip_mutation(rng: random.Random) -> tuple[bool, str]:
             seed = surf.to_seed(s)
             for i in seed.ex:
                 t = surf.flip(s, i)
-                new_chord = surf.to_chords(t)[i]
-                mut = seed.mutate(i)
-                flipped = surf.to_seed(t)
-                if mut.b != flipped.b:
-                    return False, f"B mismatch: n={n}, delta={delta}, i={i}"
-                if mut.lam.matrix != flipped.lam.matrix:
-                    return False, f"Lambda mismatch: n={n}, delta={delta}, i={i}"
-                if not _lambda_row_matches_frame(mut, i):
-                    return False, f"Lambda/frame mismatch: n={n}, delta={delta}, i={i}"
-                expansion = disc.expand_laurent(DiscElement.basis(n, [new_chord]), delta)
-                if expansion != mut.frame[i]:
-                    return False, f"variable mismatch: n={n}, delta={delta}, i={i}"
+                x = DiscElement.basis(n, [surf.to_chords(t)[i]])
+                what = _mismatch(seed.mutate(i), i, surf.to_seed(t), disc.expand_laurent(x, delta))
+                if what:
+                    return False, f"{what} mismatch: n={n}, delta={delta}, i={i}"
                 count += 1
     s = surf.build_annulus(1, 1)
     seed = surf.to_seed(s)
     model = AnnulusModel(bound=3)
-    recurrence = {2: model.x(2), 3: model.x(-1)}
-    for i in seed.ex:
-        mut = seed.mutate(i)
-        flipped = surf.to_seed(surf.flip(s, i))
-        if mut.b != flipped.b:
-            return False, f"annulus B mismatch at arc {i}"
-        if mut.lam.matrix != flipped.lam.matrix:
-            return False, f"annulus Lambda mismatch at arc {i}"
-        if not _lambda_row_matches_frame(mut, i):
-            return False, f"annulus Lambda/frame mismatch at arc {i}"
-        if mut.frame[i] != recurrence[i]:
-            return False, f"annulus variable mismatch at arc {i}"
+    for i, x in ((X0, model.x(2)), (X1, model.x(-1))):
+        what = _mismatch(seed.mutate(i), i, surf.to_seed(surf.flip(s, i)), x)
+        if what:
+            return False, f"annulus {what} mismatch at arc {i}"
         count += 1
     return True, f"{count} flips match mutation at matrix and variable level"
 
@@ -222,33 +207,30 @@ def check_annulus(rng: random.Random) -> tuple[bool, str]:
 # ---------------------------------------------------------------------------
 
 
+def _membership_cases():
+    """(name, seed, (label, cluster variable) pairs) for the pentagon, then the annulus."""
+    fan = tuple(sorted(surf.to_chords(surf.build_disc(5))))
+    chords = [(1, 3), (1, 4), (2, 4), (2, 5), (3, 5)]
+    yield "pentagon", disc.triangulation_seed(5, fan), (
+        (c, disc.expand_laurent(DiscElement.basis(5, [c]), fan)) for c in chords
+    )
+    model = AnnulusModel(bound=6)
+    yield "annulus", model.seed, ((f"x_{i}", model.x(i)) for i in range(-4, 6))
+
+
 def check_membership(rng: random.Random) -> tuple[bool, str]:
     """Cluster variables pass the membership test; M^{-e_i} fails it."""
     count = 0
-    n = 5
-    fan = tuple(sorted(surf.to_chords(surf.build_disc(n))))
-    seed = disc.triangulation_seed(n, fan)
-    for c in [(1, 3), (1, 4), (2, 4), (2, 5), (3, 5)]:
-        x = disc.expand_laurent(DiscElement.basis(n, [c]), fan)
-        if not qseed.upper_membership(x, seed):
-            return False, f"pentagon variable {c} rejected"
-        count += 1
-    for i in seed.ex:
-        bad = TorusElement.monomial(seed.ambient, tuple(-1 if k == i else 0 for k in range(seed.n)))
-        if qseed.upper_membership(bad, seed):
-            return False, f"pentagon M^(-e_{i}) accepted"
-        count += 1
-    model = AnnulusModel(bound=6)
-    aseed = model.seed
-    for i in range(-4, 6):
-        if not qseed.upper_membership(model.x(i), aseed):
-            return False, f"annulus variable x_{i} rejected"
-        count += 1
-    for i in aseed.ex:
-        bad = TorusElement.monomial(aseed.ambient, tuple(-1 if k == i else 0 for k in range(aseed.n)))
-        if qseed.upper_membership(bad, aseed):
-            return False, f"annulus M^(-e_{i}) accepted"
-        count += 1
+    for name, seed, variables in _membership_cases():
+        for label, x in variables:
+            if not qseed.upper_membership(x, seed):
+                return False, f"{name} variable {label} rejected"
+            count += 1
+        for i in seed.ex:
+            bad = TorusElement.monomial(seed.ambient, tuple(-1 if k == i else 0 for k in range(seed.n)))
+            if qseed.upper_membership(bad, seed):
+                return False, f"{name} M^(-e_{i}) accepted"
+            count += 1
     return True, f"{count} membership verdicts correct (pentagon and annulus)"
 
 

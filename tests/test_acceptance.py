@@ -93,6 +93,23 @@ def test_compatibility_is_checked_once_per_seed_of_the_suite(monkeypatch):
         assert len(calls) == 65, suites
 
 
+def test_flip_mutation_checks_each_new_row_of_lambda_once(monkeypatch):
+    # Each flip checks its new variable against every other one once:
+    # 2, 10 and 42 disc flips at n = 4, 5, 6 (5, 7 and 9 variables) and
+    # 2 annulus flips (4 variables) make 2*4 + 10*6 + 42*8 + 2*3 = 410.
+    calls = []
+    oracle = qseed.quasi_commutation_exponent
+
+    def counted(x, y):
+        calls.append(1)
+        return oracle(x, y)
+
+    monkeypatch.setattr(qseed, "quasi_commutation_exponent", counted)
+    (result,) = verify.run(["flip-mutation"])
+    assert result["ok"]
+    assert len(calls) == 410
+
+
 def test_shifted_expansion_fails_flip_mutation(monkeypatch):
     expand = disc.expand_laurent
     monkeypatch.setattr(disc, "expand_laurent", lambda x, delta: expand(x, delta).shift(1))
@@ -106,6 +123,42 @@ def test_accepting_everything_fails_membership(monkeypatch):
     (result,) = verify.run(["membership"])
     assert not result["ok"]
     assert result["detail"] == "pentagon M^(-e_1) accepted"
+
+
+# The (1, 1) annulus seed has 4 variables; the seeds of discs n >= 4 have 5 or more.
+
+
+@pytest.mark.parametrize(
+    "rank, detail",
+    [(5, "Lambda/frame mismatch: n=4, delta="), (4, "annulus Lambda/frame mismatch at arc 2")],
+)
+def test_flip_mutation_failures_name_the_surface(monkeypatch, rank, detail):
+    check_frame = qseed.QuantumSeed.check_frame
+
+    def fails_at_rank(seed, rows):
+        if seed.n == rank:
+            raise qseed.CompatibilityError("injected")
+        check_frame(seed, rows)
+
+    monkeypatch.setattr(qseed.QuantumSeed, "check_frame", fails_at_rank)
+    (result,) = verify.run(["flip-mutation"])
+    assert not result["ok"]
+    assert result["detail"].startswith(detail)
+
+
+@pytest.mark.parametrize(
+    "verdict, detail",
+    [
+        (lambda member, x, seed: False, "pentagon variable (1, 3) rejected"),
+        (lambda member, x, seed: seed.n != 4 and member(x, seed), "annulus variable x_-4 rejected"),
+        (lambda member, x, seed: seed.n == 4 or member(x, seed), "annulus M^(-e_2) accepted"),
+    ],
+)
+def test_membership_failures_name_the_surface(monkeypatch, verdict, detail):
+    member = qseed.upper_membership
+    monkeypatch.setattr(qseed, "upper_membership", lambda x, seed: verdict(member, x, seed))
+    (result,) = verify.run(["membership"])
+    assert (result["ok"], result["detail"]) == (False, detail)
 
 
 def test_unknown_check_name_raises():

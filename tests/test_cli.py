@@ -118,6 +118,12 @@ class TestSkein:
         assert code == 2
         assert err.startswith("input error: --x:")
 
+    def test_cancelled_negative_internal_weight_is_an_input_error(self, capsys):
+        x = '{"n": 5, "terms": [{"chords": [[1,3],[1,3]], "weights": [1,-1], "coeff": "1"}]}'
+        code, out, err = run_cli(capsys, "skein", "mu", "--n", "5", "--x", x, "--y", "[[2,4]]")
+        assert (code, out) == (2, "")
+        assert err == "input error: --x: internal chord (1, 3) cannot have negative weight -1\n"
+
     def test_element_on_another_disc_is_an_input_error(self, capsys):
         other = '{"n": 5, "terms": [{"chords": [[2, 5]], "coeff": "1"}]}'
         code, _, err = run_cli(capsys, "skein", "mu", "--n", "4", "--x", other, "--y", "[[1,3]]")

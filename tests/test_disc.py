@@ -115,6 +115,23 @@ class TestMultisetKeys:
         with pytest.raises(ValueError):
             disc.multiset_key(4, [(1, 3)], weights=[-1])
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: disc.multiset_key(5, [(1, 3), (1, 3)], [1, -1]),
+            lambda: disc.multiset_key(5, [(1, 3), (1, 3)], [-1, 1]),
+            lambda: DiscElement.basis(5, [(1, 3), (1, 3)], [2, -1]),
+        ],
+        ids=["cancels", "cancels-first", "sums-positive"],
+    )
+    def test_a_negative_internal_weight_is_rejected_before_summing(self, build):
+        with pytest.raises(ValueError, match=r"^internal chord \(1, 3\) cannot have negative weight -1$"):
+            build()
+
+    def test_boundary_weights_may_cancel(self):
+        assert disc.multiset_key(5, [(1, 2), (1, 2)], [1, -1]) == ()
+        assert disc.multiset_key(5, [(1, 5), (1, 3), (1, 5)], [-1, 1, 2]) == (((1, 3), 1), ((1, 5), 1))
+
     def test_degree(self):
         key = disc.multiset_key(4, [(1, 2)], weights=[3])
         assert disc.multiset_degree(4, key) == (3, 3, 0, 0)

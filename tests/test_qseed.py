@@ -1,5 +1,6 @@
 """Quantum seeds: mutation, compatibility, freezing, membership."""
 
+import itertools
 import random
 import re
 from collections import deque
@@ -628,12 +629,50 @@ class TestJson:
         with pytest.raises(CompatibilityError) as info:
             QuantumSeed.from_json(data)
         assert info.value.entry == (0, 1)
+        assert str(info.value) == (
+            f"frame variables 0 and 1 quasi-commute with exponent {-lam[0][1]}, "
+            f"but lambda[0][1] = {lam[0][1]}"
+        )
 
     def test_round_trip_mutated(self, pentagon):
         mut = pentagon.mutate(1)
         back = QuantumSeed.from_json(mut.to_json())
         assert back == mut
         assert back.mutate(1) == pentagon
+
+
+class TestCheckFrame:
+    """check_frame tests exactly the pairs of frame variables that meet rows."""
+
+    @staticmethod
+    def with_wrong_entry(seed, i, j):
+        lam = [list(row) for row in seed.lam.matrix]
+        lam[i][j], lam[j][i] = lam[i][j] + 1, lam[j][i] - 1
+        return QuantumSeed(seed.ambient, SkewForm(lam), seed.b, seed.ex, seed.frame)
+
+    @pytest.mark.parametrize("rows", [(0,), (1,), (1, 5), range(7)])
+    def test_a_wrong_entry_in_a_checked_row_raises(self, pentagon, rows):
+        bad = self.with_wrong_entry(pentagon, 0, 1)
+        with pytest.raises(CompatibilityError) as info:
+            bad.check_frame(rows)
+        assert info.value.entry == (0, 1)
+
+    def test_a_pair_that_misses_the_rows_is_not_checked(self, pentagon):
+        bad = self.with_wrong_entry(pentagon, 0, 1)
+        bad.check_frame(range(2, 7))
+        bad.check_frame(())
+
+    def test_a_row_is_checked_against_every_other_variable(self, pentagon, monkeypatch):
+        pairs = []
+        oracle = qseed.quasi_commutation_exponent
+
+        def counted(x, y):
+            pairs.append((pentagon.frame.index(x), pentagon.frame.index(y)))
+            return oracle(x, y)
+
+        monkeypatch.setattr(qseed, "quasi_commutation_exponent", counted)
+        pentagon.check_frame((3,))
+        assert pairs == [(0, 3), (1, 3), (2, 3), (3, 4), (3, 5), (3, 6)]
 
 
 def dense_mutate_columns(b, i, col):
@@ -661,6 +700,37 @@ def skew_matrices(draw):
             a[i][j] = draw(st.integers(-3, 3))
             a[j][i] = -a[i][j]
     return a
+
+
+@st.composite
+def quivers(draw):
+    """Skew matrices, half of them acyclic: every arrow follows a drawn order."""
+    a = draw(skew_matrices())
+    if draw(st.booleans()):
+        rank = {k: r for r, k in enumerate(draw(st.permutations(range(len(a)))))}
+        for i, j in itertools.combinations(range(len(a)), 2):
+            w = abs(a[i][j]) if rank[i] < rank[j] else -abs(a[i][j])
+            a[j][i], a[i][j] = w, -w
+    return a
+
+
+def dfs_is_acyclic(a):
+    """is_acyclic as first written: a recursive depth-first search."""
+    n = len(a)
+    color = [0] * n  # 0 unvisited, 1 on stack, 2 done
+
+    def dfs(u) -> bool:
+        color[u] = 1
+        for w in range(n):
+            if a[w][u] > 0:
+                if color[w] == 1:
+                    return False
+                if color[w] == 0 and not dfs(w):
+                    return False
+        color[u] = 2
+        return True
+
+    return all(color[u] or dfs(u) for u in range(n))
 
 
 class TestSparseMatrixMutation:
@@ -719,6 +789,21 @@ class TestMatrixUtilities:
         assert qseed.is_acyclic(self.PENTAGON)
         assert not qseed.is_acyclic(self.CYCLE)
         assert qseed.is_acyclic([[0]])
+
+    @given(quivers())
+    @settings(max_examples=300)
+    def test_acyclicity_matches_depth_first_search(self, a):
+        assert qseed.is_acyclic(a) == dfs_is_acyclic(a)
+
+    def test_a_long_path_needs_no_recursion(self):
+        # The depth-first search recursed once per index of the path.
+        n = 1100
+        a = [[0] * n for _ in range(n)]
+        for i in range(n - 1):
+            a[i + 1][i], a[i][i + 1] = 1, -1
+        assert qseed.is_acyclic(a)
+        a[0][n - 1], a[n - 1][0] = 1, -1
+        assert not qseed.is_acyclic(a)
 
     def test_banff_step(self):
         assert qseed.banff_step(self.PENTAGON) == (0, 1)

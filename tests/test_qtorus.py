@@ -217,6 +217,9 @@ def test_the_torus_is_a_domain(x, y):
     if not p.is_zero():
         lead = tuple(a + b for a, b in zip(max(x.support()), max(y.support())))
         assert max(p.support()) == max(r.support()) == lead
+        # So the shift is even: quasi_commutation_exponent need not test it.
+        s = p.coefficient(lead).min_v() - r.coefficient(lead).min_v()
+        assert s == 2 * FORM.pairing(max(x.support()), max(y.support()))
 
 
 BELOW_FLOOR = "no exact quotient (leading term below the lex floor)"
@@ -448,6 +451,12 @@ class TestPackedKernel:
         y = {beta1: {0: 1}, beta2: {0: 1}}
         got = self.assert_matches_oracle(x, y, lam)
         assert tuple(a + b for a, b in zip(alpha1, beta1)) not in got
+
+    def test_a_digit_keeps_its_sign_bit(self):
+        # The L1 norms are 3 and 5, so a digit holds |c| <= 15: four bits and
+        # a sign bit.  Without the sign bit the 8 at v^2 reads back as -8.
+        got = self.assert_matches_oracle({(0,): {0: 2, 2: 1}}, {(0,): {0: 2, 2: 3}}, ((0,),))
+        assert got == {(0,): {0: 4, 2: 8, 4: 3}}
 
     def test_packed_sum_that_cancels_leaves_no_key(self):
         # x = (1 + q)(M^0 + M^1) and y = (1 + q)(M^1 - M^0) under the zero
