@@ -45,7 +45,6 @@ from __future__ import annotations
 import operator
 
 from ._kernels import coeff_add
-from .qcoeff import QCoeff
 from .qtorus import TorusElement
 from .qseed import QuantumSeed, quasi_commutation_exponent, upper_membership
 from .surface import build_annulus, to_seed
@@ -72,31 +71,26 @@ class AnnulusModel:
         }
         self.ell = self._compute_ell()
 
-    def _mono(self, alpha, k: int = 0) -> TorusElement:
-        return TorusElement.monomial(self.form, alpha, QCoeff.v(k))
+    def _mono(self, alpha) -> TorusElement:
+        return TorusElement.monomial(self.form, alpha)
 
     def _compute_ell(self) -> TorusElement:
         x0, x1 = self._x[0], self._x[1]
         w = x0 * x1
-        z = (
-            x0 * x0 * QCoeff.v(2)
-            + self.a * self.b * QCoeff.v(-2)
-            + x1 * x1 * QCoeff.v(-6)
-        )
+        z = (x0 * x0).shift(2) + (self.a * self.b).shift(-2) + (x1 * x1).shift(-6)
         return z.exact_divide_left(w)
 
     def x(self, i: int) -> TorusElement:
         i = operator.index(i)
         if not -self.bound <= i <= self.bound:
             raise ValueError(f"index {i} exceeds the cache bound {self.bound}")
-        v = QCoeff.v
         hi = max(self._x)
         while hi < i:
-            self._x[hi + 1] = self._x[hi] * self.ell * v(2) - self._x[hi - 1] * v(4)
+            self._x[hi + 1] = (self._x[hi] * self.ell).shift(2) - self._x[hi - 1].shift(4)
             hi += 1
         lo = min(self._x)
         while lo > i:
-            self._x[lo - 1] = self.ell * self._x[lo] * v(2) - self._x[lo + 1] * v(4)
+            self._x[lo - 1] = (self.ell * self._x[lo]).shift(2) - self._x[lo + 1].shift(4)
             lo -= 1
         return self._x[i]
 

@@ -125,7 +125,7 @@ def _smooth(n: int, over: Chord, under: Chord) -> tuple[tuple[Chord, Chord], tup
 
 def multiset_key(n: int, chords: Iterable, weights=None) -> MultisetKey:
     counts: dict[Chord, int] = {}
-    for c, w in zip(chords, repeat(1) if weights is None else weights):
+    for c, w in zip(chords, repeat(1) if weights is None else weights, strict=weights is not None):
         c, w = normalize_chord(n, c), operator.index(w)
         # Only boundary chords are invertible, so only their weights may cancel.
         if w < 0 and not is_boundary_chord(n, c):

@@ -167,11 +167,14 @@ class QCoeff:
 
 
 def square_and_multiply(one, base, n: int):
-    """base**n for n >= 0, starting from one; squares only while bits remain."""
-    result = one
+    """base**n for n >= 0: one for n = 0, else a product of squares of base
+    that starts from its first factor and squares only while bits remain."""
+    if not n:
+        return one
+    result = None
     while n:
         if n & 1:
-            result = result * base
+            result = base if result is None else result * base
         n >>= 1
         if n:
             base = base * base

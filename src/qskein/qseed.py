@@ -23,10 +23,11 @@ from __future__ import annotations
 
 import operator
 from collections import deque
+from functools import reduce
 from itertools import combinations
 
 from . import payload
-from .qcoeff import DivisionFailure, QCoeff
+from .qcoeff import DivisionFailure
 from .qtorus import SkewForm, TorusElement
 
 
@@ -156,12 +157,12 @@ class QuantumSeed:
         if any(g < 0 for g in gamma):
             raise ValueError("frame_monomial needs nonnegative exponents")
         support = [(k, g) for k, g in enumerate(gamma) if g]
+        if not support:
+            return TorusElement._raw(self.ambient, {gamma: {0: 1}})
         lam = self.lam.matrix
         twist = sum(lam[k][l] * gk * gl for (k, gk), (l, gl) in combinations(support, 2))
-        out = TorusElement.monomial(self.ambient, (0,) * self.n, QCoeff.v(-twist))
-        for k, g in support:
-            out = out * self.frame[k] ** g
-        return out
+        out = reduce(operator.mul, (self.frame[k] ** g for k, g in support))
+        return out.shift(-twist)
 
     # -- mutation -----------------------------------------------------------
 
@@ -393,30 +394,29 @@ def _mutate_columns(b, i: int, col: int) -> list[list[int]]:
     return out
 
 
+# Row i of a skew matrix is minus its column i, so each rule below reads rows.
 def sinks(a) -> list[int]:
     """Indices whose column is nonnegative (no incoming arrows)."""
-    a = SkewForm(a).matrix
-    return [i for i in range(len(a)) if all(row[i] >= 0 for row in a)]
+    return [i for i, row in enumerate(SkewForm(a).matrix) if max(row) <= 0]
 
 
 def sources(a) -> list[int]:
     """Indices whose column is nonpositive (no outgoing arrows)."""
-    a = SkewForm(a).matrix
-    return [i for i in range(len(a)) if all(row[i] <= 0 for row in a)]
+    return [i for i, row in enumerate(SkewForm(a).matrix) if min(row) >= 0]
 
 
 def is_acyclic(a) -> bool:
     """No index cycle i_1, ..., i_n = i_1 with A[i_(j+1)][i_j] > 0: taking
     away sinks with their arrows, one at a time, takes away every index."""
     a = SkewForm(a).matrix
-    incoming = [sum(row[w] < 0 for row in a) for w in range(len(a))]
-    stack = sinks(a)
+    incoming = [sum(x > 0 for x in row) for row in a]
+    stack = [u for u, k in enumerate(incoming) if not k]
     taken = 0
     while stack:
         u = stack.pop()
         taken += 1
-        for w, row in enumerate(a):
-            if row[u] > 0:
+        for w, x in enumerate(a[u]):
+            if x < 0:
                 incoming[w] -= 1
                 if not incoming[w]:
                     stack.append(w)
@@ -425,13 +425,9 @@ def is_acyclic(a) -> bool:
 
 def banff_step(a):
     """First (i, j) with A[i][j] != 0 and i a sink or source, else None."""
-    a = SkewForm(a).matrix
-    n = len(a)
-    good = set(sinks(a)) | set(sources(a))
-    for i in range(n):
-        if i not in good:
-            continue
-        for j in range(n):
-            if a[i][j] != 0:
-                return (i, j)
+    for i, row in enumerate(SkewForm(a).matrix):
+        if max(row) <= 0 or min(row) >= 0:
+            for j, x in enumerate(row):
+                if x:
+                    return (i, j)
     return None

@@ -92,8 +92,6 @@ class TorusElement(LinearCombination):
 
     @classmethod
     def monomial(cls, form: SkewForm, alpha, coeff=1) -> TorusElement:
-        if isinstance(coeff, int):
-            coeff = QCoeff.from_int(coeff)
         return cls(form, {tuple(alpha): coeff})
 
     # -- structure ------------------------------------------------------
@@ -121,7 +119,7 @@ class TorusElement(LinearCombination):
         n = operator.index(n)
         if n < 0:
             raise ValueError("use monomial inverses or exact division for negative powers")
-        return square_and_multiply(TorusElement.monomial(self.form, (0,) * self.form.rank), self, n)
+        return square_and_multiply(self._like({(0,) * self.form.rank: {0: 1}}), self, n)
 
     def shift(self, k: int) -> TorusElement:
         """Multiply every coefficient by v^k."""

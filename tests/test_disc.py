@@ -128,6 +128,18 @@ class TestMultisetKeys:
         with pytest.raises(ValueError, match=r"^internal chord \(1, 3\) cannot have negative weight -1$"):
             build()
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: DiscElement.basis(5, [(1, 3), (2, 4)], [1]),
+            lambda: DiscElement.basis(5, [(1, 3)], [1, 7]),
+        ],
+        ids=["weight-missing", "weight-extra"],
+    )
+    def test_chords_and_weights_must_pair_up(self, build):
+        with pytest.raises(ValueError, match=r"argument 2 is (shorter|longer) than argument 1"):
+            build()
+
     def test_boundary_weights_may_cancel(self):
         assert disc.multiset_key(5, [(1, 2), (1, 2)], [1, -1]) == ()
         assert disc.multiset_key(5, [(1, 5), (1, 3), (1, 5)], [-1, 1, 2]) == (((1, 3), 1), ((1, 5), 1))

@@ -13,7 +13,8 @@ from qskein import disc, qseed
 from qskein import surface as surf
 from qskein.disc import DiscElement
 from qskein.annulus import AnnulusModel
-from qskein.qcoeff import DivisionFailure, QCoeff
+from qskein._kernels import torus_mul
+from qskein.qcoeff import DivisionFailure, LinearCombination, QCoeff
 from qskein.qseed import CompatibilityError, QuantumSeed
 from qskein.qtorus import SkewForm, TorusElement
 
@@ -356,6 +357,40 @@ class TestFrameMonomial:
     def test_negative_exponent_rejected(self, pentagon):
         with pytest.raises(ValueError):
             pentagon.frame_monomial((-1, 0, 0, 0, 0, 0, 0))
+
+    def test_zero_exponent_is_the_unit(self, pentagon):
+        unit = TorusElement.monomial(pentagon.ambient, (0,) * 7)
+        assert pentagon.frame_monomial((0,) * 7) == unit
+
+    @pytest.mark.parametrize("name, cap", [("disc:7", 1000), ("annulus", 14)])
+    def test_no_product_multiplies_by_one(self, monkeypatch, name, cap):
+        """Enumeration and frame monomials start every product from its
+        first factor, and build no element through the checked constructor."""
+        import qskein.qtorus
+
+        products, units, checked = [], [], []
+
+        def counting(x, y, matrix):
+            unit = {(0,) * len(matrix): {0: 1}}
+            products.append(1)
+            if unit in (x, y):
+                units.append((x, y))
+            return torus_mul(x, y, matrix)
+
+        def checked_new(cls, *args):
+            checked.append(cls)
+            return new(cls, *args)
+
+        new = LinearCombination.__new__
+        monkeypatch.setattr(qskein.qtorus, "torus_mul", counting)
+        monkeypatch.setattr(LinearCombination, "__new__", staticmethod(checked_new))
+        seeds, _ = qseed.enumerate_seeds(start_seed(name), max_seeds=cap)
+        assert (len(seeds), units, checked) == ({"disc:7": 42, "annulus": 14}[name], [], [])
+        rng = random.Random(name)
+        for seed in seeds[:8]:
+            for _ in range(6):
+                seed.frame_monomial([rng.choice((0, 0, 1, 2, 3)) for _ in range(seed.n)])
+        assert products and (units, checked) == ([], [])
 
 
 class TestFreeze:
@@ -733,6 +768,19 @@ def dfs_is_acyclic(a):
     return all(color[u] or dfs(u) for u in range(n))
 
 
+def column_banff_step(a):
+    """banff_step as first written: sinks and sources read off the columns."""
+    n = len(a)
+    good = {i for i in range(n) if all(r[i] >= 0 for r in a) or all(r[i] <= 0 for r in a)}
+    for i in range(n):
+        if i not in good:
+            continue
+        for j in range(n):
+            if a[i][j] != 0:
+                return (i, j)
+    return None
+
+
 class TestSparseMatrixMutation:
     """_mutate_columns touches only the entries mutation changes; the dense
     rebuild it replaced is the oracle."""
@@ -809,6 +857,29 @@ class TestMatrixUtilities:
         assert qseed.banff_step(self.PENTAGON) == (0, 1)
         assert qseed.banff_step(self.CYCLE) is None
         assert qseed.banff_step([[0]]) is None
+
+    @given(quivers())
+    @settings(max_examples=300)
+    def test_row_rules_match_the_column_scan(self, a):
+        n = len(a)
+        assert qseed.sinks(a) == [i for i in range(n) if all(r[i] >= 0 for r in a)]
+        assert qseed.sources(a) == [i for i in range(n) if all(r[i] <= 0 for r in a)]
+        assert qseed.banff_step(a) == column_banff_step(a)
+
+    @pytest.mark.parametrize("name", ["is_acyclic", "banff_step"])
+    def test_checks_its_matrix_once(self, monkeypatch, name):
+        calls = []
+        init = SkewForm.__init__
+
+        def counting(self, matrix):
+            calls.append(1)
+            init(self, matrix)
+
+        monkeypatch.setattr(SkewForm, "__init__", counting)
+        for a in (self.PENTAGON, self.CYCLE, [[0]]):
+            calls.clear()
+            getattr(qseed, name)(a)
+            assert len(calls) == 1
 
 
 ZERO = QCoeff.zero()

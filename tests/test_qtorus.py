@@ -93,7 +93,9 @@ class TestProduct:
         with pytest.raises(TypeError):
             x**2.0
 
-    @pytest.mark.parametrize("k, products", [(0, 0), (1, 1), (2, 2), (3, 3), (4, 3)])
+    @pytest.mark.parametrize(
+        "k, products", [(0, 0), (1, 0), (2, 1), (3, 2), (4, 2), (5, 3), (8, 3)]
+    )
     def test_power_squares_only_while_bits_remain(self, monkeypatch, k, products):
         import qskein.qtorus
 
