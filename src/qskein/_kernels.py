@@ -4,10 +4,11 @@ Coefficients are sparse Laurent polynomials in v = q^(1/2), stored as plain
 dicts mapping v-exponent (int) to a nonzero integer.  Torus elements are
 dicts mapping exponent tuples to coefficient dicts.  Every exact identity
 in the package is computed through these functions, and every one of them
-takes and returns these dicts: ``coeff_add``, ``coeff_neg``, ``coeff_mul``
-and ``coeff_shift`` on coefficients, ``coeff_acc`` to sum a coefficient
-into a dict of them, and ``torus_mul``, whose two paths both twist through
-``act``: the one action of a skew form Lambda on an exponent vector.
+takes and returns these dicts: ``coeff_add``, ``coeff_neg``, ``coeff_mul``,
+``coeff_shift`` and ``coeff_divide`` on coefficients, ``coeff_acc`` to sum
+a coefficient into a dict of them, and ``torus_mul`` and
+``torus_divide_left``, which twist through ``act``: the one action of a
+skew form Lambda on an exponent vector.  Divisions raise ``DivisionFailure``.
 
 A coefficient dict, once stored as a term of an element or handed to
 ``coeff_acc``, is never mutated: every function here returns a new dict,
@@ -47,7 +48,11 @@ is exact for integers of any size.  A one-term coefficient packs to itself.
 from __future__ import annotations
 
 from math import gcd
-from operator import add, mul
+from operator import add, mul, sub
+
+
+class DivisionFailure(ArithmeticError):
+    """Raised when an exact division does not exist."""
 
 
 def coeff_add(a: dict, b: dict) -> dict:
@@ -105,6 +110,41 @@ def coeff_shift(a: dict, k: int) -> dict:
     if not k:
         return dict(a)
     return {ke + k: c for ke, c in a.items()}
+
+
+def coeff_divide(a: dict, b: dict) -> dict:
+    """a / b by long division from the top v-exponent, or DivisionFailure."""
+    if not b:
+        raise DivisionFailure("division by zero")
+    if not a:
+        return {}
+    top = max(b)
+    lead = b[top]
+    # No quotient term lies below min(a) - min(b), and cancelling a
+    # remainder top k below this floor would need one at k - top.
+    floor = min(a) + top - min(b)
+    rem = dict(a)
+    quot: dict[int, int] = {}
+    while rem:
+        k = max(rem)
+        if k < floor:
+            from .qcoeff import render_raw  # qcoeff imports this module
+
+            raise DivisionFailure(
+                f"nonzero remainder: {render_raw(a)} not divisible by {render_raw(b)}"
+            )
+        c, r = divmod(rem[k], lead)
+        if r:
+            raise DivisionFailure(f"integer coefficient {rem[k]} not divisible by {lead}")
+        shift = k - top
+        quot[shift] = c
+        for e, dc in b.items():
+            e += shift
+            if s := rem.get(e, 0) - c * dc:
+                rem[e] = s
+            else:
+                del rem[e]
+    return quot
 
 
 def act(lam: tuple, v) -> list[int]:
@@ -195,3 +235,43 @@ def _shift_scale_mul(xterms: dict, yterms: dict, lam: tuple, x_one: bool) -> dic
                     else:
                         del acc[k]
     return {gamma: c for gamma, c in out.items() if c}
+
+
+def torus_divide_left(x: dict, d: dict, lam: tuple) -> dict:
+    """The terms of w with d * w == x in the torus of lam, or DivisionFailure.
+
+    Long division by d's lex-leading exponent beta: quotient term gamma
+    takes the twist -Lambda(beta, gamma) = gamma . (Lambda beta).
+    """
+    if not d:
+        raise DivisionFailure("division by zero torus element")
+    if not x:
+        return {}
+    # In a domain graded by each exponent coordinate, the coordinate
+    # spans of numerator and divisor pin the span of any quotient.
+    spans = [(min(xs) - min(ds), max(xs) - max(ds)) for xs, ds in zip(zip(*x), zip(*d))]
+    if any(lo > hi for lo, hi in spans):
+        raise DivisionFailure("exponent spans rule out a quotient")
+    # Quotient exponents come out in falling lex order, and in a domain
+    # lexmin(d * w) = lexmin(d) + lexmin(w): a leading exponent below
+    # lexmin(x) - lexmin(d) is no quotient term.
+    floor = tuple(map(sub, min(x), min(d)))
+    beta = max(d)
+    lamb = act(lam, beta)
+    rem = dict(x)
+    out: dict[tuple, dict] = {}
+    while rem:
+        xi = max(rem)
+        gamma = tuple(map(sub, xi, beta))
+        if gamma < floor:
+            raise DivisionFailure("no exact quotient (leading term below the lex floor)")
+        if any(not lo <= g <= hi for g, (lo, hi) in zip(gamma, spans)):
+            raise DivisionFailure("no exact quotient (leading term out of range)")
+        out[gamma] = c_w = coeff_divide(coeff_shift(rem[xi], sum(map(mul, gamma, lamb))), d[beta])
+        # rem -= d * M^gamma c_w, in place over d's terms.
+        for key, c in torus_mul(d, {gamma: coeff_neg(c_w)}, lam).items():
+            coeff_acc(rem, key, c)
+        if xi in rem:
+            # The leading term always cancels; if not, the loop never ends.
+            raise RuntimeError(f"leading term {xi} did not cancel")
+    return out

@@ -418,14 +418,18 @@ def product(x: DiscElement, y: DiscElement) -> DiscElement:
 # -- crossing numbers ------------------------------------------------------
 
 
+def crossing_weight(c: Chord, key: MultisetKey) -> int:
+    """Number of crossings of the chord c with the basis multiset key."""
+    s = 0
+    for y, w in key:
+        if crosses(c, y):
+            s += abs(w)
+    return s
+
+
 def mu_keys(k1: MultisetKey, k2: MultisetKey) -> int:
     """Geometric crossing number of two basis multisets."""
-    return sum(
-        abs(w1) * abs(w2)
-        for c1, w1 in k1
-        for c2, w2 in k2
-        if crosses(c1, c2)
-    )
+    return sum(abs(w) * crossing_weight(c, k2) for c, w in k1)
 
 
 def mu(x: DiscElement, y: DiscElement) -> int:
@@ -448,10 +452,7 @@ def mu_delta(n: int, delta, x: DiscElement) -> tuple[int, ...]:
     best = [0] * len(arcs)
     for key in x._terms:
         for i, c in enumerate(arcs):
-            s = 0
-            for y, w in key:
-                if crosses(c, y):
-                    s += abs(w)
+            s = crossing_weight(c, key)
             if s > best[i]:
                 best[i] = s
     return tuple(best)

@@ -15,11 +15,8 @@ from __future__ import annotations
 import operator
 import re
 
-from ._kernels import coeff_acc, coeff_add, coeff_mul, coeff_neg, coeff_shift
-
-
-class DivisionFailure(ArithmeticError):
-    """Raised when an exact division does not exist."""
+from ._kernels import DivisionFailure  # re-exported as qskein.qcoeff.DivisionFailure
+from ._kernels import coeff_acc, coeff_add, coeff_divide, coeff_mul, coeff_neg, coeff_shift
 
 
 class QCoeff:
@@ -338,34 +335,7 @@ class LinearCombination:
 
 
 def exact_divide(a: QCoeff, b: QCoeff) -> QCoeff:
-    if b.is_zero():
-        raise DivisionFailure("division by zero")
-    if a.is_zero():
-        return QCoeff.zero()
-    va, vb = a.min_v(), b.min_v()
-    # Shift both to ordinary polynomials in v with nonzero constant term.
-    rem = {k - va: c for k, c in a.items()}
-    den = {k - vb: c for k, c in b.items()}
-    deg_den = max(den)
-    lead = den[deg_den]
-    quot: dict[int, int] = {}
-    while rem:
-        deg_rem = max(rem)
-        if deg_rem < deg_den:
-            raise DivisionFailure(f"nonzero remainder: {a} not divisible by {b}")
-        c, r = divmod(rem[deg_rem], lead)
-        if r:
-            raise DivisionFailure(f"integer coefficient {rem[deg_rem]} not divisible by {lead}")
-        shift = deg_rem - deg_den
-        quot[shift] = c
-        for k, dc in den.items():
-            key = k + shift
-            s = rem.get(key, 0) - c * dc
-            if s:
-                rem[key] = s
-            else:
-                rem.pop(key, None)
-    return QCoeff({k + va - vb: c for k, c in quot.items()})
+    return QCoeff(coeff_divide(a._terms, b._terms))
 
 
 # -- text grammar ------------------------------------------------------

@@ -322,10 +322,11 @@ def enumerate_seeds(seed: QuantumSeed, max_seeds: int = 64, max_depth: int = 16)
     """BFS over the mutation pattern.
 
     Returns (seeds, truncated): at most max_seeds seeds, and truncated is
-    True when a cap stopped the search (reaching max_seeds counts as
-    stopping), so infinite exchange types never loop.  Each
-    queued seed carries the index that produced it: mutation is an
-    involution, so mutating there again would only rebuild its parent.
+    True when a cap stopped the search while a seed still had an index
+    other than the one it came from to try, so infinite exchange types
+    never loop.  Each queued seed carries the index that produced it:
+    mutation is an involution, so mutating there again would only
+    rebuild its parent.
     Raises ValueError when max_seeds < 1 or max_depth < 0.
     """
     max_seeds, max_depth = operator.index(max_seeds), operator.index(max_depth)
@@ -339,28 +340,22 @@ def enumerate_seeds(seed: QuantumSeed, max_seeds: int = 64, max_depth: int = 16)
 
     seen = {key(seed)}
     out = [seed]
-    if max_seeds == 1:
-        return out, bool(seed.ex)
     queue = deque([(seed, 0, None)])
-    truncated = False
     while queue:
         s, depth, back = queue.popleft()
-        if depth >= max_depth:
-            truncated = True
-            continue
         for i in s.ex:
             if i == back:
                 continue
+            if depth >= max_depth or len(out) >= max_seeds:
+                return out, True
             t = s.mutate(i)
             k = key(t)
             if k in seen:
                 continue
             seen.add(k)
             out.append(t)
-            if len(out) >= max_seeds:
-                return out, True
             queue.append((t, depth + 1, i))
-    return out, truncated
+    return out, False
 
 
 # -- exchange-type matrix utilities ---------------------------------------

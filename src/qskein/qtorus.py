@@ -5,10 +5,10 @@ with M^a * M^b = v^(L(a,b)) M^(a+b) for a skew-symmetric integer form L.
 (In q-units the twist is q^(L(a,b)/2); v-exponents stay integral.)
 
 An element is a ``qcoeff.LinearCombination`` of monomials M[a] in its
-form's torus; this module adds the twisted product, left division and
-JSON.  ``SkewForm.act`` returns ``_kernels.act``, the one action of L on
-an exponent vector: the torus product, ``pairing``, the Laurent map and
-the compatibility check and mutation of quantum seeds all read L there.
+form's torus; this module wraps the kernel's product and left division
+and adds JSON.  ``SkewForm.act`` returns ``_kernels.act``, the one action
+of L on an exponent vector: torus product and division, ``pairing``, the
+Laurent map and seed compatibility and mutation all read L there.
 """
 
 from __future__ import annotations
@@ -16,14 +16,8 @@ from __future__ import annotations
 import operator
 
 from . import payload
-from ._kernels import act, coeff_acc, coeff_neg, coeff_shift, torus_mul
-from .qcoeff import (
-    DivisionFailure,
-    LinearCombination,
-    QCoeff,
-    render_raw,
-    square_and_multiply,
-)
+from ._kernels import act, coeff_shift, torus_divide_left, torus_mul
+from .qcoeff import LinearCombination, QCoeff, render_raw, square_and_multiply
 
 
 class SkewForm:
@@ -132,48 +126,7 @@ class TorusElement(LinearCombination):
     def exact_divide_left(self, divisor: TorusElement) -> TorusElement:
         """Return w with self == divisor * w, or raise DivisionFailure."""
         self._check(divisor)
-        if divisor.is_zero():
-            raise DivisionFailure("division by zero torus element")
-        if self.is_zero():
-            return TorusElement.zero(self.form)
-        n = self.form.rank
-        # In a domain graded by each exponent coordinate, the coordinate
-        # spans of numerator and divisor pin the span of any quotient.
-        lo = [None] * n
-        hi = [None] * n
-        for j in range(n):
-            xs = [a[j] for a in self._terms]
-            ds = [a[j] for a in divisor._terms]
-            lo[j] = min(xs) - min(ds)
-            hi[j] = max(xs) - max(ds)
-            if lo[j] > hi[j]:
-                raise DivisionFailure("exponent spans rule out a quotient")
-        # Quotient exponents come out in falling lex order, and in a domain
-        # lexmin(divisor * w) = lexmin(divisor) + lexmin(w): a leading
-        # exponent below lexmin(self) - lexmin(divisor) is no quotient term.
-        floor = tuple(map(operator.sub, min(self._terms), min(divisor._terms)))
-        beta = max(divisor._terms)
-        c_d = QCoeff(divisor._terms[beta])
-        rem = dict(self._terms)
-        out: dict[tuple, dict] = {}
-        while rem:
-            xi = max(rem)
-            gamma = tuple(x - b for x, b in zip(xi, beta))
-            if gamma < floor:
-                raise DivisionFailure("no exact quotient (leading term below the lex floor)")
-            if any(g < l or g > h for g, l, h in zip(gamma, lo, hi)):
-                raise DivisionFailure("no exact quotient (leading term out of range)")
-            s = self.form.pairing(beta, gamma)
-            c_w = QCoeff(rem[xi]).shift(-s).exact_divide(c_d)
-            out[gamma] = c_w._terms
-            # rem += divisor * M^gamma (-c_w), in place over the divisor's terms.
-            piece = divisor * self._like({gamma: coeff_neg(c_w._terms)})
-            for key, c in piece._terms.items():
-                coeff_acc(rem, key, c)
-            if xi in rem:
-                # The leading term always cancels; if not, the loop never ends.
-                raise RuntimeError(f"leading term {xi} did not cancel")
-        return self._like(out)
+        return self._like(torus_divide_left(self._terms, divisor._terms, self.space.matrix))
 
     # -- serialization -----------------------------------------------------
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import qskein._kernels
 import qskein.qcoeff
 from qskein._kernels import coeff_acc
 from qskein.disc import DiscElement, all_chords
@@ -164,6 +165,70 @@ class TestDivision:
         with pytest.raises(DivisionFailure):
             exact_divide(QCoeff.from_int(3), QCoeff.from_int(2))
         assert exact_divide(QCoeff.from_int(6), QCoeff.from_int(2)) == QCoeff.from_int(3)
+
+    @pytest.mark.parametrize(
+        "a, b, message",
+        [
+            ("q^2 + 1", "q + 1", "nonzero remainder: q^2 + 1 not divisible by q + 1"),
+            ("3", "2", "integer coefficient 3 not divisible by 2"),
+            (
+                "-q^(5/2) + 2*q^(-3/2)",
+                "q - q^(1/2)",
+                "nonzero remainder: -q^(5/2) + 2*q^(-3/2) not divisible by q - q^(1/2)",
+            ),
+        ],
+    )
+    def test_failure_messages_render_the_operands(self, a, b, message):
+        with pytest.raises(DivisionFailure, match=f"^{re.escape(message)}$"):
+            exact_divide(parse(a), parse(b))
+
+    @given(coeffs, nonzero_coeffs, coeffs)
+    def test_matches_normalized_long_division(self, a, b, r):
+        # Quotients, and the message of every failure, of the loop as first
+        # written on QCoeffs, both operands shifted to polynomials first.
+        num = a * b + r
+        try:
+            expected = exact_divide_oracle(num, b)
+        except DivisionFailure as err:
+            with pytest.raises(DivisionFailure, match=f"^{re.escape(str(err))}$"):
+                exact_divide(num, b)
+        else:
+            assert exact_divide(num, b) == expected
+
+
+def test_division_failure_is_one_class():
+    assert qskein.DivisionFailure is qskein.qcoeff.DivisionFailure is qskein._kernels.DivisionFailure
+
+
+def exact_divide_oracle(a: QCoeff, b: QCoeff) -> QCoeff:
+    """exact_divide as first written, on ordinary polynomials in v."""
+    if b.is_zero():
+        raise DivisionFailure("division by zero")
+    if a.is_zero():
+        return QCoeff.zero()
+    va, vb = a.min_v(), b.min_v()
+    rem = {k - va: c for k, c in a.items()}
+    den = {k - vb: c for k, c in b.items()}
+    deg_den = max(den)
+    lead = den[deg_den]
+    quot: dict[int, int] = {}
+    while rem:
+        deg_rem = max(rem)
+        if deg_rem < deg_den:
+            raise DivisionFailure(f"nonzero remainder: {a} not divisible by {b}")
+        c, r = divmod(rem[deg_rem], lead)
+        if r:
+            raise DivisionFailure(f"integer coefficient {rem[deg_rem]} not divisible by {lead}")
+        shift = deg_rem - deg_den
+        quot[shift] = c
+        for k, dc in den.items():
+            key = k + shift
+            s = rem.get(key, 0) - c * dc
+            if s:
+                rem[key] = s
+            else:
+                rem.pop(key, None)
+    return QCoeff({k + va - vb: c for k, c in quot.items()})
 
 
 def render_oracle(x: QCoeff) -> str:

@@ -574,7 +574,37 @@ class TestEnumeration:
             qseed.enumerate_seeds(pentagon, max_seeds, max_depth)
 
     @pytest.mark.parametrize(
-        "name, max_seeds, max_depth", [("disc:7", 99, 16), ("disc:7", 99, 3), ("annulus", 16, 64)]
+        "name, max_seeds, max_depth, count, truncated",
+        [
+            ("disc:3", 1, 16, 1, False),
+            ("disc:3", 64, 0, 1, False),
+            ("disc:4", 64, 16, 2, False),
+            ("disc:4", 2, 16, 2, False),
+            ("disc:4", 64, 1, 2, False),
+            ("disc:4", 1, 16, 1, True),
+            ("disc:4", 64, 0, 1, True),
+            ("disc:5", 99, 2, 5, True),
+        ],
+    )
+    def test_truncated_only_when_an_index_is_left(
+        self, name, max_seeds, max_depth, count, truncated
+    ):
+        # disc:3 has no mutation, and the A_1 pattern of disc:4 is two
+        # seeds one mutation apart: caps that end the search exactly there
+        # cut nothing off.
+        seeds, got = qseed.enumerate_seeds(start_seed(name), max_seeds, max_depth)
+        assert (len(seeds), got) == (count, truncated)
+
+    @pytest.mark.parametrize(
+        "name, max_seeds, max_depth",
+        [
+            ("disc:7", 99, 16),
+            ("disc:7", 99, 3),
+            ("annulus", 16, 64),
+            ("disc:3", 1, 0),
+            ("disc:4", 2, 1),
+            ("disc:5", 99, 2),
+        ],
     )
     def test_matches_a_plain_breadth_first_search(self, name, max_seeds, max_depth):
         start = start_seed(name)
@@ -583,21 +613,21 @@ class TestEnumeration:
             return frozenset(f.fingerprint() for f in s.frame)
 
         def plain_bfs():
-            seen, out, queue, truncated = {key(start)}, [start], deque([(start, 0)]), False
+            # Truncated when a cap skips an index other than the one the
+            # seed came from, whether or not it would give a new seed.
+            seen, out, queue, truncated = {key(start)}, [start], deque([(start, 0, None)]), False
             while queue:
-                s, depth = queue.popleft()
-                if depth >= max_depth:
-                    truncated = True
-                    continue
+                s, depth, back = queue.popleft()
                 for i in s.ex:
+                    if depth >= max_depth or len(out) >= max_seeds:
+                        truncated = truncated or i != back
+                        continue
                     t = s.mutate(i)
                     if key(t) in seen:
                         continue
                     seen.add(key(t))
                     out.append(t)
-                    if len(out) >= max_seeds:
-                        return out, True
-                    queue.append((t, depth + 1))
+                    queue.append((t, depth + 1, i))
             return out, truncated
 
         out, truncated = plain_bfs()

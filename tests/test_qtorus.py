@@ -2,12 +2,13 @@
 
 import copy
 import re
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qskein import qtorus
+from qskein import _kernels
 from qskein.annulus import AnnulusModel
 from qskein._kernels import act, coeff_add, coeff_mul, torus_mul
 from qskein.payload import PayloadError
@@ -238,7 +239,7 @@ class TestDivisionBounds:
         d = mono((1, 0, 0)) + mono((0, 1, 0))
         num = mono((1, 0, 0)) + mono((0, 3, 0))
         products = []
-        monkeypatch.setattr(qtorus, "torus_mul", lambda *args: products.append(args))
+        monkeypatch.setattr(_kernels, "torus_mul", lambda *args: products.append(args))
         with pytest.raises(DivisionFailure, match=f"^{re.escape(BELOW_FLOOR)}$"):
             num.exact_divide_left(d)
         assert products == []
@@ -251,13 +252,59 @@ class TestDivisionBounds:
                 assert (xk * xj).exact_divide_left(xk) == xj
 
     def test_a_wrong_twist_fails_at_once(self, monkeypatch):
-        # With the twist's sign flipped the leading term never cancels, and
-        # the loop would run for ever on ever larger coefficients.
-        pairing = SkewForm.pairing
-        monkeypatch.setattr(SkewForm, "pairing", lambda form, a, b: -pairing(form, a, b))
+        # With the product's twist the opposite of the division's the
+        # leading term never cancels, and the loop would run for ever on
+        # ever larger coefficients.
+        def flipped(x, y, lam):
+            return torus_mul(x, y, tuple(tuple(-e for e in row) for row in lam))
+
         x0, x1 = mono((1, 0, 0)), mono((0, 1, 0)) + mono((0, 0, 1))
+        num = x0 * x1
+        monkeypatch.setattr(_kernels, "torus_mul", flipped)
         with pytest.raises(RuntimeError, match="did not cancel"):
-            (x0 * x1).exact_divide_left(x0)
+            num.exact_divide_left(x0)
+
+    def test_an_inexact_coefficient_names_its_operands(self):
+        # The quotient coefficient is (q^2 + 1) v^-1 / (q + 1), twisted by
+        # Lambda(e_1, e_0) = -1.
+        num = TorusElement.monomial(FORM, (1, 1, 0), QCoeff.q(2) + 1)
+        d = TorusElement.monomial(FORM, (1, 0, 0), QCoeff.q(1) + 1)
+        message = "nonzero remainder: q^(3/2) + q^(-1/2) not divisible by q + 1"
+        with pytest.raises(DivisionFailure, match=f"^{re.escape(message)}$"):
+            num.exact_divide_left(d)
+
+    def test_a_division_builds_its_result_alone(self, monkeypatch):
+        # x_16 x_17 / x_16 works on raw terms: no QCoeff, and no element
+        # but the quotient it returns.
+        model = AnnulusModel(bound=17)
+        x16 = model.x(16)
+        num = x16 * model.x(17)
+        coeffs, elements = [], []
+
+        class CountedQCoeff(QCoeff):
+            __slots__ = ()
+
+            def __new__(cls, *args):
+                coeffs.append(args)
+                return super().__new__(cls)
+
+        # Every qskein module that names QCoeff builds it through the
+        # counting subclass.
+        for name, module in list(sys.modules.items()):
+            if name.partition(".")[0] == "qskein" and getattr(module, "QCoeff", None) is QCoeff:
+                monkeypatch.setattr(module, "QCoeff", CountedQCoeff)
+        raw = TorusElement._raw.__func__
+
+        def counted_raw(cls, space, terms):
+            elements.append(raw(cls, space, terms))
+            return elements[-1]
+
+        monkeypatch.setattr(TorusElement, "_raw", classmethod(counted_raw))
+        w = num.exact_divide_left(x16)
+        assert coeffs == []
+        assert len(elements) == 1 and elements[0] is w
+        monkeypatch.undo()
+        assert w == model.x(17)
 
 
 class TestDivisionOracle:
