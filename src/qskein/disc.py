@@ -165,7 +165,7 @@ class DiscElement(LinearCombination):
 
     @classmethod
     def _raw(cls, n: int, terms: dict) -> DiscElement:
-        if n < 3:
+        if (n := operator.index(n)) < 3:
             raise ValueError("a marked disc needs at least 3 boundary points")
         return super()._raw(n, terms)
 

@@ -1,8 +1,9 @@
 """The coefficient ring Z[q^(1/2), q^(-1/2)] and combinations over it.
 
 Elements are sparse Laurent polynomials in v = q^(1/2) with integer
-coefficients, stored as a dict mapping v-exponent to a nonzero int.  All
-arithmetic is exact.  The bar involution inverts v, and specializing q = 1
+coefficients, stored as a dict mapping v-exponent to a nonzero int, read
+by ``raw_coeff``, the one reader of coefficient data.  All arithmetic is
+exact.  The bar involution inverts v, and specializing q = 1
 sums the coefficients.
 
 ``LinearCombination`` is the one core of the skein elements of ``disc``
@@ -25,10 +26,7 @@ class QCoeff:
     __slots__ = ("_terms",)
 
     def __init__(self, terms: dict[int, int] | None = None):
-        if terms is None:
-            self._terms = {}
-        else:
-            self._terms = {k: c for k, c in terms.items() if c}
+        self._terms = {} if terms is None else raw_coeff(terms)
 
     # -- constructors -------------------------------------------------
 
@@ -90,7 +88,7 @@ class QCoeff:
         return max(self._terms)
 
     def coefficient(self, v_exp: int) -> int:
-        return self._terms.get(v_exp, 0)
+        return self._terms.get(operator.index(v_exp), 0)
 
     # -- ring operations ----------------------------------------------
 
@@ -140,7 +138,7 @@ class QCoeff:
     def shift(self, k: int) -> QCoeff:
         """Multiply by v^k."""
         out = QCoeff.__new__(QCoeff)
-        out._terms = coeff_shift(self._terms, k)
+        out._terms = coeff_shift(self._terms, operator.index(k))
         return out
 
     def bar(self) -> QCoeff:
@@ -186,17 +184,18 @@ def _coerce(x) -> QCoeff:
     return NotImplemented
 
 
-#: The value of a null-homotopic loop: -(q^2 + q^-2).
-UNKNOT_SCALAR = QCoeff({4: -1, -4: -1})
-
-
 def raw_coeff(c) -> dict[int, int]:
-    """The raw v-exponent dict, zeros dropped, of a QCoeff, a dict or an int."""
+    """The raw v-exponent dict, zeros dropped, of a QCoeff (its own dict,
+    read here once and never mutated), a dict or an int."""
     if isinstance(c, QCoeff):
-        return dict(c._terms)
+        return c._terms
     index = operator.index
     raw = {index(k): index(x) for k, x in c.items()} if hasattr(c, "items") else {0: index(c)}
     return {k: x for k, x in raw.items() if x}
+
+
+#: The value of a null-homotopic loop: -(q^2 + q^-2).
+UNKNOT_SCALAR = QCoeff({4: -1, -4: -1})
 
 
 class LinearCombination:
@@ -265,7 +264,7 @@ class LinearCombination:
         return sorted(self._terms)
 
     def coefficient(self, key) -> QCoeff:
-        return QCoeff(self._terms.get(tuple(key), {}))
+        return QCoeff(self._terms.get(self._key(self.space, key), {}))
 
     def terms(self):
         for key in sorted(self._terms):
@@ -335,7 +334,7 @@ class LinearCombination:
 
 
 def exact_divide(a: QCoeff, b: QCoeff) -> QCoeff:
-    return QCoeff(coeff_divide(a._terms, b._terms))
+    return QCoeff(coeff_divide(raw_coeff(a), raw_coeff(b)))
 
 
 # -- text grammar ------------------------------------------------------

@@ -82,7 +82,7 @@ class QuantumSeed:
         if len(b) != n:
             raise ValueError(f"exchange matrix needs {n} rows, got {len(b)}")
         for r, i in enumerate(ex):
-            for c, j in enumerate(ex):
+            for c, j in enumerate(ex[r:], r):
                 if b[i][c] != -b[j][r]:
                     raise ValueError(
                         f"exchangeable part of B is not skew at ({i},{j})"
@@ -136,7 +136,7 @@ class QuantumSeed:
     def check_frame(self, rows) -> None:
         """Raise CompatibilityError unless frame variables i < j quasi-commute
         with exponent Lambda[i][j], for every pair that meets rows."""
-        rows = set(rows)
+        rows = set(map(operator.index, rows))
         for i, j in combinations(range(self.n), 2):
             if i in rows or j in rows:
                 c = quasi_commutation_exponent(self.frame[i], self.frame[j])
@@ -201,24 +201,25 @@ class QuantumSeed:
     def xprime_power(self, i: int, m: int) -> TorusElement:
         """X'_i^m for m >= 1.
 
-        The first call builds X'_j for every exchangeable j, so an
-        incompatible seed always raises.  Each power, once built, is kept
-        on the seed with all the lower ones.
+        A non-exchangeable i raises first.  The first other call builds
+        X'_j for every exchangeable j, so an incompatible seed always
+        raises.  Each power, once built, is kept on the seed with all the
+        lower ones.
         """
         i, m = operator.index(i), operator.index(m)
         if m < 1:
             raise ValueError(f"power {m} of X'_{i} is not positive")
+        if i not in self.ex:
+            raise ValueError(f"index {i} is not exchangeable")
         if self._xprime is None:
             self._xprime = {j: [self.mutate(j).frame[j]] for j in self.ex}
-        if i not in self._xprime:
-            raise ValueError(f"index {i} is not exchangeable")
         powers = self._xprime[i]
         while len(powers) < m:
             powers.append(powers[-1] * powers[0])
         return powers[m - 1]
 
     def freeze(self, drop) -> QuantumSeed:
-        drop = set(drop)
+        drop = set(map(operator.index, drop))
         if not drop <= set(self.ex):
             raise ValueError(f"cannot freeze non-exchangeable indices {sorted(drop - set(self.ex))}")
         keep = [c for c, j in enumerate(self.ex) if j not in drop]

@@ -32,7 +32,7 @@ class SkewForm:
             if len(row) != n:
                 raise ValueError("form matrix must be square")
         for i in range(n):
-            for j in range(n):
+            for j in range(i, n):
                 if rows[i][j] != -rows[j][i]:
                     raise ValueError(f"form matrix not skew-symmetric at ({i},{j})")
         self.matrix = rows
@@ -117,7 +117,7 @@ class TorusElement(LinearCombination):
 
     def shift(self, k: int) -> TorusElement:
         """Multiply every coefficient by v^k."""
-        if not k:
+        if not (k := operator.index(k)):
             return self
         return self._like({a: coeff_shift(c, k) for a, c in self._terms.items()})
 

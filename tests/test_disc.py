@@ -214,6 +214,17 @@ class TestElementAlgebra:
         x = DiscElement.basis(4, [(1, 3)])
         assert 3 * x == x.scale(QCoeff.from_int(3))
         assert (x + x).scale(QCoeff.from_int(2)) == 4 * x
+        with pytest.raises(TypeError):
+            x.scale(QCoeff.v(1, 0.5))
+
+    @pytest.mark.parametrize(
+        "build",
+        [lambda: DiscElement.basis(5.0, [(1, 3)]), lambda: DiscElement.one(5.0), lambda: DiscElement(5.0)],
+        ids=["basis", "one", "constructor"],
+    )
+    def test_non_integer_disc_size_raises(self, build):
+        with pytest.raises(TypeError):
+            build()
 
     def test_grading(self):
         assert DiscElement.basis(4, [(1, 2), (2, 3)]).grading() == (1, 2, 1, 0)

@@ -62,6 +62,22 @@ class TestConstruction:
     def test_zero_coefficients_dropped(self):
         assert QCoeff({3: 0}) == QCoeff.zero()
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: QCoeff({1: 2.5}),
+            lambda: QCoeff({0.5: 1}),
+            lambda: QCoeff.v(1, 0.5),
+            lambda: QCoeff.q(0.5),
+            lambda: QCoeff.from_int(2.0),
+            lambda: QCoeff.v(1).coefficient(0.5),
+        ],
+        ids=["coefficient", "exponent", "v", "q", "from_int", "read"],
+    )
+    def test_non_integer_terms_raise(self, build):
+        with pytest.raises(TypeError):
+            build()
+
     def test_unknot_scalar(self):
         assert UNKNOT_SCALAR == -QCoeff.q(2) - QCoeff.q(-2)
         assert UNKNOT_SCALAR.specialize_q1() == -2
@@ -76,6 +92,8 @@ class TestArithmetic:
     def test_shift_is_v_multiplication(self):
         x = QCoeff.q(1) + QCoeff.from_int(3)
         assert x.shift(5) == x * QCoeff.v(5)
+        with pytest.raises(TypeError):
+            x.shift(0.5)
 
     def test_power_matches_repeated_multiplication(self):
         x = QCoeff.q(1) + QCoeff.from_int(2)
@@ -156,6 +174,12 @@ class TestDivision:
         num = QCoeff.q(1) + QCoeff.from_int(2) + QCoeff.q(-1)
         den = QCoeff.q(1) + QCoeff.one()
         assert num.exact_divide(den) == exact_divide(num, den)
+
+    def test_operands_are_read_like_sums_and_products(self):
+        assert exact_divide(QCoeff({2: 4}), 2) == QCoeff({2: 2})
+        assert exact_divide(6, QCoeff.from_int(3)) == 2
+        with pytest.raises(TypeError):
+            exact_divide(QCoeff({2: 4}), 2.0)
 
     @given(coeffs, nonzero_coeffs)
     def test_division_inverts_multiplication(self, a, b):
@@ -485,6 +509,15 @@ class TestLinearCombination:
         with pytest.raises(ValueError, match="^a marked disc needs at least 3 boundary points$"):
             DiscElement.zero(2)
         assert TorusElement(FORM, {(1, 0): 0}).is_zero()
+
+    def test_coefficient_reads_its_key_through_the_hook(self):
+        x = DiscElement(5, {(((1, 2), 1), ((3, 4), 1)): QCoeff.q(1)})
+        for key in [(((2, 1), 1), ((3, 4), 1)), [[[3, 4], 1], [[1, 2], 1]]]:
+            assert x.coefficient(key) == x.coefficient((((1, 2), 1), ((3, 4), 1))) == QCoeff.q(1)
+        y = TorusElement(FORM, {(1, 0): 3})
+        assert y.coefficient([1, 0]) == y.coefficient((True, 0)) == 3
+        with pytest.raises(ValueError, match=r"^exponent \(1, 0, 0\) has wrong length for rank 2$"):
+            y.coefficient((1, 0, 0))
 
     @given(elements)
     def test_copies_are_equal(self, x):

@@ -189,6 +189,15 @@ class TestMutation:
             ]
             assert list(mut.lam.matrix[i]) == products
 
+    def test_exchange_monomial_with_a_twist_is_bar_invariant(self):
+        # D = {0: 1}, and p = (0, 1, 1, 0) has frame twist Lambda[1][2] = 1,
+        # where every preset's exchange monomials have twist 0.
+        lam = SkewForm([[0, 1, 0, 0], [-1, 0, 1, 1], [0, -1, 0, -1], [0, -1, 1, 0]])
+        seed = QuantumSeed.initial(lam, [[0], [1], [1], [-1]], (0,))
+        assert seed.check_compatibility() == {0: 1}
+        x = seed.mutate(0).frame[0]
+        assert x.bar() == x
+
     def test_incompatible_column_raises(self):
         with pytest.raises(CompatibilityError):
             incompatible_seed().mutate(0)
@@ -403,6 +412,11 @@ class TestFreeze:
         with pytest.raises(ValueError):
             pentagon.freeze({0})
 
+    def test_non_integer_index_raises_like_mutate(self, pentagon):
+        for call in (pentagon.mutate, lambda i: pentagon.freeze([i])):
+            with pytest.raises(TypeError):
+                call(1.0)
+
 
 class TestQuasiCommutation:
     def test_monomials(self):
@@ -492,6 +506,16 @@ class TestMembershipMemo:
             assert seed.xprime(i) == seed.mutate(i).frame[i]
         with pytest.raises(ValueError, match="not exchangeable"):
             seed.xprime(0)
+
+    @pytest.mark.parametrize("name", ["annulus", "disc:40", "incompatible"])
+    def test_a_frozen_index_raises_before_the_memo_is_filled(self, monkeypatch, name):
+        seed = incompatible_seed() if name == "incompatible" else start_seed(name)
+        frozen = next(i for i in range(seed.n) if i not in seed.ex)
+        calls = []
+        monkeypatch.setattr(QuantumSeed, "mutate", lambda self, i: calls.append(i))
+        with pytest.raises(ValueError, match=f"^index {frozen} is not exchangeable$"):
+            seed.xprime(frozen)
+        assert (calls, seed._xprime) == ([], None)
 
     def test_kept_powers_are_powers_of_xprime(self):
         model = AnnulusModel(bound=8)
@@ -721,6 +745,10 @@ class TestCheckFrame:
         with pytest.raises(CompatibilityError) as info:
             bad.check_frame(rows)
         assert info.value.entry == (0, 1)
+
+    def test_non_integer_rows_raise(self, pentagon):
+        with pytest.raises(TypeError):
+            self.with_wrong_entry(pentagon, 0, 1).check_frame([1.5])
 
     def test_a_pair_that_misses_the_rows_is_not_checked(self, pentagon):
         bad = self.with_wrong_entry(pentagon, 0, 1)

@@ -125,6 +125,8 @@ class TestProduct:
     def test_shift_scales_by_v(self):
         x = mono((1, 0, 0)) + mono((0, 1, 0), 2)
         assert x.shift(3) == x.scale(QCoeff.v(3))
+        with pytest.raises(TypeError):
+            x.shift(0.5)
 
 
 class TestBar:
