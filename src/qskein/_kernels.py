@@ -5,15 +5,20 @@ dicts mapping v-exponent (int) to a nonzero integer.  Torus elements are
 dicts mapping exponent tuples to coefficient dicts.  Every exact identity
 in the package is computed through these functions, and every one of them
 takes and returns these dicts: ``coeff_add``, ``coeff_neg``, ``coeff_mul``,
-``coeff_shift`` and ``coeff_divide`` on coefficients, ``coeff_acc`` to sum
-a coefficient into a dict of them, and ``torus_mul`` and
+``coeff_shift`` and ``coeff_divide`` on coefficients, ``coeff_addto`` to
+add v^k * x * c into a coefficient in place, ``coeff_acc`` to sum a
+coefficient into a dict of them, and ``torus_mul`` and
 ``torus_divide_left``, which twist through ``act``: the one action of a
 skew form Lambda on an exponent vector.  Divisions raise ``DivisionFailure``.
 
+``coeff_addto`` is the one accumulate rule: every sum of coefficients
+here (``coeff_add``, ``coeff_mul``, the remainder of ``coeff_divide``,
+``_shift_scale_mul``) and in ``annulus.side_coeff`` runs through it, and
+it drops an exponent whose sum is 0.  It is also the one function here
+that mutates, and only the dict its caller created to accumulate into.
 A coefficient dict, once stored as a term of an element or handed to
-``coeff_acc``, is never mutated: every function here returns a new dict,
-and the in-place sums of ``_shift_scale_mul`` write only accumulators it
-created itself.  That is why a coefficient may be stored without a copy.
+``coeff_acc``, is never mutated: every other function returns a new dict.
+That is why a coefficient may be stored without a copy.
 
 ``torus_mul`` has two paths, chosen from the operands' shape alone.
 
@@ -55,14 +60,20 @@ class DivisionFailure(ArithmeticError):
     """Raised when an exact division does not exist."""
 
 
+def coeff_addto(acc: dict, c: dict, k: int, x: int) -> None:
+    """acc += x * v^k * c in place, for x != 0, deleting an exponent whose
+    sum is 0.  Only acc, a dict the caller created, is written."""
+    for e, n in c.items():
+        e += k
+        if s := acc.get(e, 0) + x * n:
+            acc[e] = s
+        else:
+            del acc[e]
+
+
 def coeff_add(a: dict, b: dict) -> dict:
     out = dict(a)
-    for k, c in b.items():
-        s = out.get(k, 0) + c
-        if s:
-            out[k] = s
-        else:
-            out.pop(k, None)
+    coeff_addto(out, b, 0, 1)
     return out
 
 
@@ -88,21 +99,8 @@ def coeff_mul(a: dict, b: dict) -> dict:
     if len(a) > len(b):
         a, b = b, a
     out: dict = {}
-    if len(a) == 1:
-        # A monomial shifts and scales: no sums, no cancellation.  A loop,
-        # not a comprehension, is cheaper for the 1-3-term b that dominate.
-        [(ka, ca)] = a.items()
-        for kb, cb in b.items():
-            out[ka + kb] = ca * cb
-        return out
-    for ka, ca in a.items():
-        for kb, cb in b.items():
-            k = ka + kb
-            s = out.get(k, 0) + ca * cb
-            if s:
-                out[k] = s
-            else:
-                del out[k]
+    for k, x in a.items():
+        coeff_addto(out, b, k, x)
     return out
 
 
@@ -136,14 +134,8 @@ def coeff_divide(a: dict, b: dict) -> dict:
         c, r = divmod(rem[k], lead)
         if r:
             raise DivisionFailure(f"integer coefficient {rem[k]} not divisible by {lead}")
-        shift = k - top
-        quot[shift] = c
-        for e, dc in b.items():
-            e += shift
-            if s := rem.get(e, 0) - c * dc:
-                rem[e] = s
-            else:
-                del rem[e]
+        quot[k - top] = c
+        coeff_addto(rem, b, k - top, -c)
     return quot
 
 
@@ -219,21 +211,8 @@ def _shift_scale_mul(xterms: dict, yterms: dict, lam: tuple, x_one: bool) -> dic
         for alpha, ca in xterms.items():
             one, many = (ca, cb) if x_one else (cb, ca)
             [(e, c)] = one.items()
-            e += sum(map(mul, alpha, lamb))
-            gamma = tuple(map(add, alpha, beta))
-            acc = out.get(gamma)
-            if acc is None:
-                acc = out[gamma] = {}
-                for k, x in many.items():
-                    acc[k + e] = c * x
-            else:
-                # The accumulator is this kernel's own dict: add in place.
-                for k, x in many.items():
-                    k += e
-                    if s := acc.get(k, 0) + c * x:
-                        acc[k] = s
-                    else:
-                        del acc[k]
+            acc = out.setdefault(tuple(map(add, alpha, beta)), {})
+            coeff_addto(acc, many, e + sum(map(mul, alpha, lamb)), c)
     return {gamma: c for gamma, c in out.items() if c}
 
 

@@ -44,7 +44,8 @@ from __future__ import annotations
 
 import operator
 
-from ._kernels import coeff_add
+from ._kernels import coeff_addto
+from .disc import InhomogeneousError
 from .qtorus import TorusElement
 from .qseed import QuantumSeed, quasi_commutation_exponent, upper_membership
 from .surface import build_annulus, to_seed
@@ -95,7 +96,7 @@ class AnnulusModel:
         return self._x[i]
 
     def grading(self, x: TorusElement) -> tuple[int, int]:
-        """Endpoint degree (at the outer point, at the inner point)."""
+        """Endpoint degree (outer point, inner point), or InhomogeneousError."""
         if x.is_zero():
             return (0, 0)
         degs = {
@@ -103,7 +104,7 @@ class AnnulusModel:
             for alpha in x.support()
         }
         if len(degs) != 1:
-            raise ValueError(f"element is not homogeneous: degrees {sorted(degs)}")
+            raise InhomogeneousError(degs)
         return next(iter(degs))
 
     def verify_identities(self, irange: int = 5, render: bool = True) -> list[dict]:
@@ -244,9 +245,7 @@ def side_coeff(parts, key) -> dict:
     out: dict = {}
     for x, k, sign in parts:
         if c := x._terms.get(key):
-            if k or sign != 1:
-                c = {e + k: sign * n for e, n in c.items()}
-            out = coeff_add(out, c) if out else c
+            coeff_addto(out, c, k, sign)
     return out
 
 

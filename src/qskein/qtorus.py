@@ -9,6 +9,8 @@ form's torus; this module wraps the kernel's product and left division
 and adds JSON.  ``SkewForm.act`` returns ``_kernels.act``, the one action
 of L on an exponent vector: torus product and division, ``pairing``, the
 Laurent map and seed compatibility and mutation all read L there.
+``act`` and ``pairing`` read their vectors through ``TorusElement._key``,
+the one exponent reader; the kernel ``act`` checks nothing.
 """
 
 from __future__ import annotations
@@ -42,12 +44,12 @@ class SkewForm:
         return len(self.matrix)
 
     def pairing(self, alpha, beta) -> int:
-        """L(alpha, beta), alpha dotted with L beta."""
-        return sum(map(operator.mul, alpha, self.act(beta)))
+        """L(alpha, beta), alpha dotted with L beta; both read like exponents."""
+        return sum(map(operator.mul, TorusElement._key(self, alpha), self.act(beta)))
 
     def act(self, beta) -> list[int]:
-        """L beta, whose entry k is L(e_k, beta)."""
-        return act(self.matrix, beta)
+        """L beta, whose entry k is L(e_k, beta); beta is read like an exponent."""
+        return act(self.matrix, TorusElement._key(self, beta))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, SkewForm) and self.matrix == other.matrix

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qskein.annulus import X0, X1, AnnulusModel, side_equals, side_sum
+from qskein.disc import InhomogeneousError
 from qskein.qcoeff import QCoeff, render
 from qskein.qseed import QuantumSeed, quasi_commutation_exponent, upper_membership
 from qskein.qtorus import TorusElement
@@ -220,6 +221,11 @@ class TestLoop:
         message = r"^element is not homogeneous: degrees \[\(1, 1\), \(2, 0\)\]$"
         with pytest.raises(ValueError, match=message):
             model.grading(model.a + model.x(0))
+
+    def test_inhomogeneous_error_is_the_disc_class(self, model):
+        with pytest.raises(InhomogeneousError) as exc:
+            model.grading(model.x(0) + model.a)
+        assert exc.value.degrees == [(1, 1), (2, 0)]
 
     def test_boundary_loops_are_central(self, model):
         for central in [model.a, model.b]:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import qskein._kernels
 import qskein.qcoeff
-from qskein._kernels import coeff_acc
+from qskein._kernels import coeff_acc, coeff_addto
 from qskein.disc import DiscElement, all_chords
 from qskein.qcoeff import (
     UNKNOT_SCALAR,
@@ -88,6 +88,15 @@ class TestArithmetic:
         lhs = (QCoeff.q(1) + QCoeff.one()) * (QCoeff.one() + QCoeff.q(-1))
         rhs = QCoeff.q(1) + QCoeff.from_int(2) + QCoeff.q(-1)
         assert lhs == rhs
+
+    def test_integer_minus_coefficient(self):
+        x = QCoeff.q(1) + QCoeff.from_int(3)
+        assert 5 - x == QCoeff.from_int(2) - QCoeff.q(1)
+        assert 3 - QCoeff.from_int(3) == QCoeff.zero()
+
+    def test_truth_is_nonzero(self):
+        assert not QCoeff()
+        assert QCoeff.v(-1)
 
     def test_shift_is_v_multiplication(self):
         x = QCoeff.q(1) + QCoeff.from_int(3)
@@ -449,6 +458,37 @@ class TestCoeffAcc:
         coeff_acc(out, "k", {0: -1, 2: 3})
         assert out == {"other": {0: 1}}
         assert stored == {0: 1, 2: -3}
+
+
+def coeff_addto_oracle(acc: dict, c: dict, k: int, x: int) -> dict:
+    """acc + x * v^k * c, built anew from every exponent of both."""
+    sums = {e: acc.get(e, 0) + x * c.get(e - k, 0) for e in set(acc) | {e + k for e in c}}
+    return {e: s for e, s in sums.items() if s}
+
+
+raw_terms = st.dictionaries(
+    st.integers(-8, 8),
+    st.one_of(st.integers(-9, 9), st.integers(2**70, 2**72)).filter(bool),
+    max_size=5,
+)
+
+
+class TestCoeffAddto:
+    @given(raw_terms, raw_terms, st.integers(-4, 4), st.integers(-3, 3).filter(bool))
+    def test_matches_the_dict_oracle(self, acc, c, k, x):
+        want = coeff_addto_oracle(acc, c, k, x)
+        frozen = dict(c)
+        coeff_addto(acc, c, k, x)
+        assert acc == want
+        assert c == frozen
+
+    @given(raw_terms, st.integers(-4, 4), st.integers(-3, 3).filter(bool))
+    def test_full_cancellation_empties_the_accumulator(self, c, k, x):
+        acc = {e + k: -x * n for e, n in c.items()}
+        frozen = dict(c)
+        coeff_addto(acc, c, k, x)
+        assert acc == {}
+        assert c == frozen
 
 
 class TestLinearCombination:

@@ -54,6 +54,19 @@ class TestForm:
         for alpha in [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, -2, 1)]:
             assert sum(a * x for a, x in zip(alpha, dense)) == FORM.pairing(alpha, beta)
 
+    @pytest.mark.parametrize(
+        "vector, error",
+        [([1], ValueError), ([1, 2, 3, 4], ValueError), ([0.5, 0, 0], TypeError)],
+        ids=["short", "long", "float"],
+    )
+    def test_vectors_are_read_like_exponents(self, vector, error):
+        with pytest.raises(error):
+            FORM.act(vector)
+        with pytest.raises(error):
+            FORM.pairing(vector, (1, 0, 0))
+        with pytest.raises(error):
+            FORM.pairing((1, 0, 0), vector)
+
 
 class TestConstructor:
     def test_rejects_exponents_that_normalise_alike(self):
