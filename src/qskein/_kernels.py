@@ -16,9 +16,9 @@ here (``coeff_add``, ``coeff_mul``, the remainder of ``coeff_divide``,
 ``_shift_scale_mul``) and in ``annulus.side_coeff`` runs through it, and
 it drops an exponent whose sum is 0.  It is also the one function here
 that mutates, and only the dict its caller created to accumulate into.
-A coefficient dict, once stored as a term of an element or handed to
-``coeff_acc``, is never mutated: every other function returns a new dict.
-That is why a coefficient may be stored without a copy.
+A coefficient dict, once stored or handed to ``coeff_acc``, is never
+mutated, so it is stored without a copy.  Every other function returns a
+new dict, but a shift by 0 returns its argument: never accumulate into it.
 
 ``torus_mul`` has two paths, chosen from the operands' shape alone.
 
@@ -106,7 +106,7 @@ def coeff_mul(a: dict, b: dict) -> dict:
 
 def coeff_shift(a: dict, k: int) -> dict:
     if not k:
-        return dict(a)
+        return a
     return {ke + k: c for ke, c in a.items()}
 
 

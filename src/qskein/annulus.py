@@ -64,16 +64,10 @@ class AnnulusModel:
         self.surface = build_annulus(1, 1)
         self.seed: QuantumSeed = to_seed(self.surface)
         self.form = self.seed.ambient
-        self.a = self._mono((1, 0, 0, 0))
-        self.b = self._mono((0, 1, 0, 0))
-        self._x: dict[int, TorusElement] = {
-            0: self._mono((0, 0, 1, 0)),
-            1: self._mono((0, 0, 0, 1)),
-        }
+        # The initial seed's frame is M^(e_0), ..., M^(e_3): a, b, x_0, x_1.
+        self.a, self.b, x0, x1 = self.seed.frame
+        self._x: dict[int, TorusElement] = {0: x0, 1: x1}
         self.ell = self._compute_ell()
-
-    def _mono(self, alpha) -> TorusElement:
-        return TorusElement.monomial(self.form, alpha)
 
     def _compute_ell(self) -> TorusElement:
         x0, x1 = self._x[0], self._x[1]
@@ -101,7 +95,7 @@ class AnnulusModel:
             return (0, 0)
         degs = {
             (2 * alpha[A] + alpha[X0] + alpha[X1], 2 * alpha[B] + alpha[X0] + alpha[X1])
-            for alpha in x.support()
+            for alpha in x._terms
         }
         if len(degs) != 1:
             raise InhomogeneousError(degs)

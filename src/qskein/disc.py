@@ -107,16 +107,16 @@ def lam_pair(n: int, x: Chord, y: Chord) -> int:
 
 
 def _smooth(n: int, over: Chord, under: Chord) -> tuple[tuple[Chord, Chord], tuple[Chord, Chord]]:
-    """Return (q-smoothing, q^-1-smoothing) of one crossing."""
+    """Return (q-smoothing, q^-1-smoothing) of one crossing; crossing chords
+    share no endpoint, so each joined pair is a chord once sorted."""
     o1, o2 = over
     u1, u2 = under
-    pairs_q = []
-    pairs_qi = []
+    pairs_q, pairs_qi = [], []
     for o in (o1, o2):
         cw = u1 if (u1 - o) % n < (u2 - o) % n else u2
         ccw = u2 if cw == u1 else u1
-        pairs_q.append(normalize_chord(n, (o, cw)))
-        pairs_qi.append(normalize_chord(n, (o, ccw)))
+        pairs_q.append((o, cw) if o < cw else (cw, o))
+        pairs_qi.append((o, ccw) if o < ccw else (ccw, o))
     return (pairs_q[0], pairs_q[1]), (pairs_qi[0], pairs_qi[1])
 
 
@@ -539,7 +539,7 @@ def _triangulation(n: int, delta: tuple[tuple, ...]):
         left factor M^(-mu) is a one-term torus product."""
         mu = [int(crosses(a, c)) for a in arcs]
         denom_key = tuple(sorted((a, 1) for a, k in zip(arcs, mu) if k))
-        numer = product(DiscElement._raw(n, {denom_key: {0: 1}}), DiscElement.basis(n, [c]))
+        numer = product(DiscElement._raw(n, {denom_key: {0: 1}}), DiscElement._raw(n, {((c, 1),): {0: 1}}))
         terms = {}
         for key, coef in numer._terms.items():
             alpha = [0] * len(arcs)

@@ -1,10 +1,10 @@
 """The coefficient ring Z[q^(1/2), q^(-1/2)] and combinations over it.
 
 Elements are sparse Laurent polynomials in v = q^(1/2) with integer
-coefficients, stored as a dict mapping v-exponent to a nonzero int, read
-by ``raw_coeff``, the one reader of coefficient data.  All arithmetic is
-exact.  The bar involution inverts v, and specializing q = 1
-sums the coefficients.
+coefficients, stored as a dict mapping v-exponent to a nonzero int.
+``raw_coeff`` reads outside data, and ``QCoeff._raw`` wraps a dict the
+library built as it is.  All arithmetic is exact.  The bar involution
+inverts v, and specializing q = 1 sums the coefficients.
 
 ``LinearCombination`` is the one core of the skein elements of ``disc``
 and the quantum torus elements of ``qtorus``: combinations of basis keys
@@ -27,6 +27,13 @@ class QCoeff:
 
     def __init__(self, terms: dict[int, int] | None = None):
         self._terms = {} if terms is None else raw_coeff(terms)
+
+    @classmethod
+    def _raw(cls, terms: dict) -> QCoeff:
+        """Wrap a dict the library built, without copying or checking it."""
+        out = object.__new__(cls)
+        out._terms = terms
+        return out
 
     # -- constructors -------------------------------------------------
 
@@ -96,16 +103,12 @@ class QCoeff:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        out = QCoeff.__new__(QCoeff)
-        out._terms = coeff_add(self._terms, other._terms)
-        return out
+        return QCoeff._raw(coeff_add(self._terms, other._terms))
 
     __radd__ = __add__
 
     def __neg__(self) -> QCoeff:
-        out = QCoeff.__new__(QCoeff)
-        out._terms = coeff_neg(self._terms)
-        return out
+        return QCoeff._raw(coeff_neg(self._terms))
 
     def __sub__(self, other) -> QCoeff:
         other = _coerce(other)
@@ -123,9 +126,7 @@ class QCoeff:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        out = QCoeff.__new__(QCoeff)
-        out._terms = coeff_mul(self._terms, other._terms)
-        return out
+        return QCoeff._raw(coeff_mul(self._terms, other._terms))
 
     __rmul__ = __mul__
 
@@ -137,13 +138,11 @@ class QCoeff:
 
     def shift(self, k: int) -> QCoeff:
         """Multiply by v^k."""
-        out = QCoeff.__new__(QCoeff)
-        out._terms = coeff_shift(self._terms, operator.index(k))
-        return out
+        return QCoeff._raw(coeff_shift(self._terms, operator.index(k)))
 
     def bar(self) -> QCoeff:
         """The bar involution v -> v^-1."""
-        return QCoeff({-k: c for k, c in self._terms.items()})
+        return QCoeff._raw({-k: c for k, c in self._terms.items()})
 
     def specialize_q1(self) -> int:
         return sum(self._terms.values())
@@ -264,11 +263,11 @@ class LinearCombination:
         return sorted(self._terms)
 
     def coefficient(self, key) -> QCoeff:
-        return QCoeff(self._terms.get(self._key(self.space, key), {}))
+        return QCoeff._raw(self._terms.get(self._key(self.space, key), {}))
 
     def terms(self):
         for key in sorted(self._terms):
-            yield key, QCoeff(self._terms[key])
+            yield key, QCoeff._raw(self._terms[key])
 
     def __eq__(self, other) -> bool:
         return (
@@ -334,7 +333,7 @@ class LinearCombination:
 
 
 def exact_divide(a: QCoeff, b: QCoeff) -> QCoeff:
-    return QCoeff(coeff_divide(raw_coeff(a), raw_coeff(b)))
+    return QCoeff._raw(coeff_divide(raw_coeff(a), raw_coeff(b)))
 
 
 # -- text grammar ------------------------------------------------------

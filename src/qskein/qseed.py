@@ -11,12 +11,14 @@ closed formula E^T Lambda E, not from torus products, so it trusts
 Lambda: ``check_frame``, which ``from_json`` runs, checks it against
 the frame with ``quasi_commutation_exponent``, the product-based oracle.  The
 columns of Lambda B, in the compatibility check and in mutation, and the
-new row of Lambda are all read from ``SkewForm.act``.
+new row of Lambda are all read from ``_kernels.act``, unchecked: the seed
+builds those vectors from its own checked B.
 ``upper_membership`` divides by the X'_i that ``mutate`` builds, so the
 exchange relation has one implementation; a seed keeps them in a private
 memo, built for every exchangeable index on the first membership test
-and reused after that.  The memo is not part of the seed's identity:
-``==``, ``hash``, ``fingerprint`` and ``to_json`` ignore it.
+and reused after that.  The memo is not part of the seed's identity, its
+fields with frames compared as elements: ``==``, ``hash`` and ``to_json``
+ignore it.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from functools import reduce
 from itertools import combinations
 
 from . import payload
+from ._kernels import act
 from .qcoeff import DivisionFailure
 from .qtorus import SkewForm, TorusElement
 
@@ -121,7 +124,7 @@ class QuantumSeed:
         """Verify Lambda B = D iota; return {exchangeable index: D entry}."""
         d = {}
         for c, j in enumerate(self.ex):
-            for k, entry in enumerate(self.lam.act([row[c] for row in self.b])):
+            for k, entry in enumerate(act(self.lam.matrix, [row[c] for row in self.b])):
                 if k == j:
                     if entry <= 0:
                         raise CompatibilityError(
@@ -172,7 +175,7 @@ class QuantumSeed:
             raise ValueError(f"index {i} is not exchangeable")
         col = self.ex.index(i)
         bcol = [row[col] for row in self.b]
-        lam_b = self.lam.act(bcol)
+        lam_b = act(self.lam.matrix, bcol)
         for j, entry in enumerate(lam_b):
             if entry and j != i:
                 raise _expected_zero(j, col, entry)
@@ -180,7 +183,7 @@ class QuantumSeed:
         m = tuple(max(-v, 0) for v in bcol)
         # Lambda' = E^T Lambda E (Berenstein-Zelevinsky): X'_i quasi-commutes
         # with X_j as Lambda(m - e_i, e_j), since (Lambda B)[j][col] = 0.
-        lam_m_ei = self.lam.act(v - (k == i) for k, v in enumerate(m))
+        lam_m_ei = act(self.lam.matrix, (v - (k == i) for k, v in enumerate(m)))
         newlam = [list(row) for row in self.lam.matrix]
         for j in range(self.n):
             if j != i:
@@ -229,20 +232,13 @@ class QuantumSeed:
 
     # -- identity ------------------------------------------------------------
 
-    def fingerprint(self):
-        return (
-            self.ambient,
-            self.lam,
-            self.b,
-            self.ex,
-            tuple(f.fingerprint() for f in self.frame),
-        )
-
     def __eq__(self, other) -> bool:
-        return isinstance(other, QuantumSeed) and self.fingerprint() == other.fingerprint()
+        return isinstance(other, QuantumSeed) and (
+            self.ambient, self.lam, self.b, self.ex, self.frame
+        ) == (other.ambient, other.lam, other.b, other.ex, other.frame)
 
     def __hash__(self) -> int:
-        return hash(self.fingerprint())
+        return hash((self.ambient, self.lam, self.b, self.ex, self.frame))
 
     # -- serialization ---------------------------------------------------------
 
@@ -284,8 +280,8 @@ def quasi_commutation_exponent(x: TorusElement, y: TorusElement) -> int:
     r = y * x
     if p.is_zero():
         return 0
-    alpha = max(p.support())
-    s = p.coefficient(alpha).min_v() - r.coefficient(alpha).min_v()
+    alpha = max(p._terms)
+    s = min(p._terms[alpha]) - min(r._terms[alpha])
     if p != r.shift(s):
         raise CompatibilityError(f"elements do not quasi-commute (shift {s})")
     return s // 2
@@ -336,10 +332,7 @@ def enumerate_seeds(seed: QuantumSeed, max_seeds: int = 64, max_depth: int = 16)
     if max_depth < 0:
         raise ValueError(f"max_depth must be nonnegative, got {max_depth}")
 
-    def key(s: QuantumSeed):
-        return frozenset(f.fingerprint() for f in s.frame)
-
-    seen = {key(seed)}
+    seen = {frozenset(seed.frame)}
     out = [seed]
     queue = deque([(seed, 0, None)])
     while queue:
@@ -350,7 +343,7 @@ def enumerate_seeds(seed: QuantumSeed, max_seeds: int = 64, max_depth: int = 16)
             if depth >= max_depth or len(out) >= max_seeds:
                 return out, True
             t = s.mutate(i)
-            k = key(t)
+            k = frozenset(t.frame)
             if k in seen:
                 continue
             seen.add(k)

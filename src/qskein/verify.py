@@ -132,11 +132,10 @@ def check_flip_mutation(rng: random.Random) -> tuple[bool, str]:
                 if what:
                     return False, f"{what} mismatch: n={n}, delta={delta}, i={i}"
                 count += 1
-    s = surf.build_annulus(1, 1)
-    seed = surf.to_seed(s)
     model = AnnulusModel(bound=3)
     for i, x in ((X0, model.x(2)), (X1, model.x(-1))):
-        what = _mismatch(seed.mutate(i), i, surf.to_seed(surf.flip(s, i)), x)
+        flipped = surf.to_seed(surf.flip(model.surface, i))
+        what = _mismatch(model.seed.mutate(i), i, flipped, x)
         if what:
             return False, f"annulus {what} mismatch at arc {i}"
         count += 1

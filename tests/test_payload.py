@@ -248,3 +248,9 @@ def test_mutated_payloads_exit_0_only_when_they_decode_the_same(capsys, name):
             assert got[2].count("\n") == 1
 
     check()
+
+
+def test_an_object_where_a_value_belongs_is_named_as_such():
+    with pytest.raises(PayloadError) as info:
+        TorusElement.from_json({"rank": {}, "lambda": [], "terms": []})
+    assert str(info.value) == "rank: expected int, got an object"

@@ -592,3 +592,28 @@ class TestLinearCombination:
         y = DiscElement(5, {(((1, 2), 1), ((1, 3), 2)): QCoeff.v(1)})
         assert str(y) == "(q^(1/2))*x[1, 2]*x[1, 3]^2"
         assert repr(DiscElement.zero(5)) == "DiscElement(0)"
+
+
+def test_qcoeff_repr_wraps_its_text_form():
+    assert repr(QCoeff({1: 2, -2: -1})) == "QCoeff('2*q^(1/2) - q^-1')"
+    assert repr(QCoeff.zero()) == "QCoeff('0')"
+
+
+class TestOtherOperands:
+    """An operand that is no int, QCoeff or element of the same kind is
+    NotImplemented, so Python raises TypeError."""
+
+    def test_qcoeff(self):
+        x = QCoeff.one()
+        assert x.__eq__("x") is NotImplemented and x != "x"
+        for op in (lambda: x + "x", lambda: x - "x", lambda: "x" - x, lambda: x * 1.5):
+            with pytest.raises(TypeError):
+                op()
+
+    def test_scaling_an_element(self):
+        form = SkewForm([[0, 1], [-1, 0]])
+        x = TorusElement.monomial(form, (1, 0))
+        assert x.__rmul__(1.5) is NotImplemented
+        with pytest.raises(TypeError):
+            1.5 * x
+        assert 2 * x == x * 2 == x.scale(2)

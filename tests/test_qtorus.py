@@ -592,3 +592,21 @@ class TestPackedKernel:
         # Same-sign full coefficients: the middle coefficient reaches half the bound.
         x = {(): {0: c, 8: c}}
         assert torus_mul(x, x, ()) == {(): {0: m * m, 8: 2 * m * m, 16: m * m}}
+
+
+def test_skew_form_repr_lists_its_rows():
+    assert repr(FORM) == "SkewForm([[0, 1, -2], [-1, 0, 3], [2, -3, 0]])"
+
+
+def test_product_with_another_type_is_not_implemented():
+    x = mono((1, 0, 0))
+    assert x.__mul__("x") is NotImplemented and x.__mul__(1.5) is NotImplemented
+    with pytest.raises(TypeError):
+        x * 1.5
+
+
+def test_len_counts_terms():
+    # No library code reads len(); the benchmark's tracer sizes torus
+    # products with it, so it stays.
+    assert len(TorusElement.zero(FORM)) == 0
+    assert len(mono((1, 0, 0)) + mono((0, 1, 0), 2)) == 2

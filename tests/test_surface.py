@@ -409,3 +409,8 @@ class TestSeedBridge:
     def test_banff_witnesses(self):
         for s in [surf.build_disc(5), surf.build_annulus(1, 1)]:
             assert qseed.banff_step(surf.to_seed(s).pi_b()) is not None
+
+
+def test_repr_counts_points_arcs_and_triangles():
+    assert repr(surf.build_disc(5)) == "TriangulatedSurface(points=5, arcs=7, triangles=3)"
+    assert repr(surf.build_annulus(1, 1)) == "TriangulatedSurface(points=2, arcs=4, triangles=2)"
