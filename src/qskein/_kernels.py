@@ -13,8 +13,9 @@ skew form Lambda on an exponent vector.  Divisions raise ``DivisionFailure``.
 
 ``coeff_addto`` is the one accumulate rule: every sum of coefficients
 here (``coeff_add``, ``coeff_mul``, the remainder of ``coeff_divide``,
-``_shift_scale_mul``) and in ``annulus.side_coeff`` runs through it, and
-it drops an exponent whose sum is 0.  It is also the one function here
+``_shift_scale_mul``) and in ``annulus.side_coeff`` (past the shifted,
+signed copy of the first part it starts from) runs through it, and it
+drops an exponent whose sum is 0.  It is also the one function here
 that mutates, and only the dict its caller created to accumulate into.
 A coefficient dict, once stored or handed to ``coeff_acc``, is never
 mutated, so it is stored without a copy.  Every other function returns a
@@ -42,6 +43,18 @@ exponent gamma and the same base residue mod g are summed in one
 accumulator, the lower-based one shifted left to align.  Each accumulator
 is read back once, k bits a digit, with a signed borrow.
 
+An accumulator's key is the int g * code(gamma) + base mod g, with
+
+    code(alpha) = sum of alpha_i * 2^(w * i),  w = M.bit_length() + 2,
+
+M the largest |entry| of an exponent of either operand.  Every entry of
+gamma = alpha + beta lies strictly inside (-2^(w-1), 2^(w-1)), where the
+signed base-2^w expansion is unique, so distinct gammas have distinct
+codes, and code(alpha) + code(beta) = code(gamma) lets a pair add two
+codes made once per term instead of building and hashing a tuple.  The
+accumulator keeps its first pair's alpha and beta, and gamma is built
+as a tuple once per accumulator.
+
 The digit width is k = (L1x * L1y).bit_length() + 1, with L1x and L1y the
 sums of |c| over all terms of each operand.  Every output coefficient is a
 sum of products ca * cb over distinct term pairs, so its size is at most
@@ -52,6 +65,7 @@ is exact for integers of any size.  A one-term coefficient packs to itself.
 
 from __future__ import annotations
 
+from itertools import chain
 from math import gcd
 from operator import add, mul, sub
 
@@ -164,34 +178,40 @@ def torus_mul(xterms: dict, yterms: dict, lam: tuple) -> dict:
             l1 += sum(map(abs, c.values()))
         bound *= l1
     k = bound.bit_length() + 1
+    w = max(map(abs, chain.from_iterable(chain(xterms, yterms))), default=0).bit_length() + 2
 
     def pack(c):
         m = min(c)
         return m, sum(x << (e - m) // g * k for e, x in c.items())
 
-    xs = [(alpha, *pack(c)) for alpha, c in xterms.items()]
+    def code(alpha):
+        return g * sum(a << w * i for i, a in enumerate(alpha))
+
+    xs = [(alpha, code(alpha), *pack(c)) for alpha, c in xterms.items()]
     acc: dict = {}
     for beta, cb in yterms.items():
         mb, pb = pack(cb)
         lamb = act(lam, beta)
-        for alpha, ma, pa in xs:
+        cbeta = code(beta)
+        for alpha, calpha, ma, pa in xs:
             base = ma + mb + sum(map(mul, alpha, lamb))
-            key = (tuple(map(add, alpha, beta)), base % g)
+            key = calpha + cbeta + base % g
             prod = pa * pb
             cur = acc.get(key)
             if cur is None:
-                acc[key] = (base, prod)
+                acc[key] = [base, prod, alpha, beta]
             elif base >= cur[0]:
-                acc[key] = (cur[0], cur[1] + (prod << (base - cur[0]) // g * k))
+                cur[1] += prod << (base - cur[0]) // g * k
             else:
-                acc[key] = (base, (cur[1] << (cur[0] - base) // g * k) + prod)
+                cur[1] = (cur[1] << (cur[0] - base) // g * k) + prod
+                cur[0] = base
     out: dict = {}
     half = 1 << (k - 1)
     mask = (1 << k) - 1
-    for (gamma, _), (e, v) in acc.items():
+    for e, v, alpha, beta in acc.values():
         if not v:
             continue
-        c = out.setdefault(gamma, {})
+        c = out.setdefault(tuple(map(add, alpha, beta)), {})
         while v:
             d = v & mask
             if d >= half:

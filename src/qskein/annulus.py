@@ -28,16 +28,21 @@ side is taken from another identity's claim.  A right side is a list of
 parts (x, k, sign) standing for the sum of sign * v^k * x, and no sum is
 built to compare it: ``side_equals`` sums the parts' shifted and signed
 coefficients at one exponent at a time (``side_coeff``, the one sum
-rule) and compares that with the left side's coefficient there.  The sum
-is built as an element (``side_sum``, from the same rule) only to render
-the rhs of a failing row.  Of the identities of one i that read large
-products, (x_i x_(i+1)) ell = ... is evaluated first, though reported
-fifth: x_i^2 and x_i x_(i+1) are gone before x_(i+1)^2 is read again,
-and before x_i x_(i+3) and x_(i+1) x_(i+2) are built, so at most three
-large products are alive at once.  With ``render=False``
-the rows carry only "name" and "ok", and no element is rendered; with
-the default every row also renders both sides, and a side equal to the
-left one is not rendered again: equal elements render alike.
+rule) and compares that with the left side's coefficient there, then
+visits once each exponent the left side lacks, whose sum must cancel.
+``side_coeff`` starts from a shifted, signed copy of the coefficient of
+the first part holding the exponent, and the later parts add into that
+copy through ``coeff_addto``, so no part's coefficient is written or
+shared.  The sum is built as an element (``side_sum``, from the same
+rule) only to render the rhs of a failing row.  Of the identities of
+one i that read large products, (x_i x_(i+1)) ell = ... is evaluated
+first, though reported fifth: x_i^2 and x_i x_(i+1) are gone before
+x_(i+1)^2 is read again, and before x_i x_(i+3) and x_(i+1) x_(i+2) are
+built, so at most three large products are alive at once.  With
+``render=False`` the rows carry only "name" and "ok", and no element is
+rendered; with the default every row also renders both sides, and a
+side equal to the left one is not rendered again: equal elements render
+alike.
 """
 
 from __future__ import annotations
@@ -234,13 +239,19 @@ def side_coeff(parts, key) -> dict:
     """The coefficient at key of the sum of sign * v^k * x over parts (x, k, sign).
 
     The one sum rule of the identity pass: ``side_equals`` compares with
-    it and ``side_sum`` builds from it.
+    it and ``side_sum`` builds from it.  The sum starts as a new dict,
+    the first holding part's coefficient shifted by k and signed (copied
+    even for k = 0 and sign = 1), and later parts add into it through
+    ``coeff_addto``.
     """
-    out: dict = {}
+    out = None
     for x, k, sign in parts:
         if c := x._terms.get(key):
-            coeff_addto(out, c, k, sign)
-    return out
+            if out is None:
+                out = {e + k: sign * n for e, n in c.items()}
+            else:
+                coeff_addto(out, c, k, sign)
+    return out or {}
 
 
 def side_equals(lhs: TorusElement, parts) -> bool:
@@ -249,9 +260,8 @@ def side_equals(lhs: TorusElement, parts) -> bool:
     if any(side_coeff(parts, key) != c for key, c in terms.items()):
         return False
     # A key that lhs lacks must cancel in the sum.
-    return not any(
-        side_coeff(parts, key) for x, _, _ in parts for key in x._terms if key not in terms
-    )
+    lacks = set().union(*(x._terms for x, _, _ in parts)).difference(terms)
+    return not any(side_coeff(parts, key) for key in lacks)
 
 
 def side_sum(parts) -> TorusElement:

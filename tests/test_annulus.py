@@ -1,5 +1,6 @@
 """Annulus with one marked point per boundary circle: exact ground truth."""
 
+import copy
 import hashlib
 import json
 import tracemalloc
@@ -439,6 +440,32 @@ class TestSideComparison:
         assert side_equals(self.mono((0, 1, 0, 0), 2), parts)
         assert not side_equals(TorusElement.zero(SIDE_FORM), parts)
         assert not side_equals(self.mono((0, 1, 0, 0), 2), [(x, 0, 1)])
+
+    @staticmethod
+    def assert_parts_kept(parts):
+        """side_equals and side_sum write no part, and the sum shares none
+        of the parts' coefficient dicts."""
+        before = [copy.deepcopy(x._terms) for x, _, _ in parts]
+        built = TestSideComparison.built(parts)
+        assert side_equals(built, parts)
+        assert side_equals(TorusElement.zero(SIDE_FORM), parts) == (not built)
+        summed = side_sum(parts)
+        assert [x._terms for x, _, _ in parts] == before
+        shared = {id(c) for x, _, _ in parts for c in x._terms.values()}
+        assert not shared & {id(c) for c in summed._terms.values()}
+
+    @given(side_parts)
+    @settings(max_examples=100)
+    def test_parts_are_left_as_they_were(self, parts):
+        self.assert_parts_kept(parts)
+
+    def test_an_unshifted_first_part_is_copied(self):
+        # k = 0 and sign = +1: the sum starts from a copy of x's coefficient,
+        # alone or with a later part adding into it.
+        x = self.mono((1, 0, 0, 0), 1, 2) + self.mono((0, 1, 0, 0))
+        self.assert_parts_kept([(x, 0, 1)])
+        self.assert_parts_kept([(x, 0, 1), (self.mono((1, 0, 0, 0), 3), -2, 1)])
+        self.assert_parts_kept([(x, 0, 1), (x, 0, -1)])
 
     def test_one_coefficient_off_by_one(self):
         x = self.mono((1, 0, 0, 0), 0, 3) + self.mono((0, 1, 0, 0), 2, -2)

@@ -465,14 +465,30 @@ def raw_coeffs(draw, stride, max_terms):
     return draw(st.dictionaries(steps, ints, min_size=1, max_size=max_terms))
 
 
+# Exponents beyond any fixed key width: the packed path's exponent keys
+# must take their digit width from the operands.
+WIDE = [s * m for m in (2**31, 2**40, 10**12) for s in (1, -1)]
+
+
 @st.composite
 def raw_operands(draw):
-    """(x, y, lam) as raw dicts: rank 0-3, possibly empty, strides 1, 2 or 8."""
+    """(x, y, lam) as raw dicts: rank 0-3, possibly empty, strides 1, 2 or 8,
+    and some coordinates with entries as wide as +-10^12.
+
+    The form pairs no wide coordinate: the packed path holds a coefficient
+    densely from its lowest v-exponent to its highest, and twists 10^24
+    apart landing on one exponent would need 10^24-bit integers.
+    """
     n = draw(st.integers(0, 3))
-    lam = draw(skew_forms(n))
+    wide = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    lam = tuple(
+        tuple(0 if wide[i] or wide[j] else e for j, e in enumerate(row))
+        for i, row in enumerate(draw(skew_forms(n)))
+    )
     stride = draw(st.sampled_from([1, 2, 8]))
     max_terms = draw(st.sampled_from([1, 4]))
-    exps = st.tuples(*[st.integers(-1, 1)] * n)
+    small = st.integers(-1, 1)
+    exps = st.tuples(*[st.one_of(small, st.sampled_from(WIDE)) if w else small for w in wide])
     terms = st.dictionaries(exps, raw_coeffs(stride, max_terms), max_size=4)
     return draw(terms), draw(terms), lam
 
@@ -531,6 +547,41 @@ class TestPackedKernel:
         got = self.assert_matches_oracle(x, y, ((0,),))
         assert (1,) not in got
         assert got == {(0,): {0: -1, 2: -2, 4: -1}, (2,): {0: 1, 2: 2, 4: 1}}
+
+    def test_wide_components_cancel_to_zero(self):
+        # gamma = (0, 1) from components 2^40 apart, so the key's digit
+        # width comes from the operands, not from gamma.
+        big = 2**40
+        x = {(big, -big): {0: 1, 8: 2}}
+        y = {(-big, big + 1): {0: 3, 8: -1}}
+        lam = ((0, 1), (-1, 0))
+        # The twist is Lambda((2^40, -2^40), (-2^40, 2^40 + 1)) = 2^40.
+        got = self.assert_matches_oracle(x, y, lam)
+        assert got == {(0, 1): {big: 3, big + 8: 5, big + 16: -2}}
+
+    @pytest.mark.parametrize("m", [2**31, 2**40])
+    def test_wide_exponents_keep_their_own_keys(self, m):
+        # gamma = (2m, 0), (0, 1), (0, 0) and (-2m, 1): a code of base 2^32,
+        # or of one bit narrower than 2 + m.bit_length(), merges two of them.
+        x = {(m, 0): {0: 1, 8: 1}, (-m, 0): {0: 2, 8: 1}}
+        y = {(m, 0): {0: 3, 8: 1}, (-m, 1): {0: 1, 8: -1}}
+        got = self.assert_matches_oracle(x, y, ((0, 0), (0, 0)))
+        assert sorted(got) == [(-2 * m, 1), (0, 0), (0, 1), (2 * m, 0)]
+
+    def test_annulus_pass_products_match(self):
+        # The x_i x_j products of the identity pass at range 8, whose
+        # coefficients reach 15,342: for each i it multiplies x_i^2,
+        # x_i x_(i+1), x_(i+1) x_i, x_(i+1)^2, x_i x_(i+2), x_i x_(i+3) and
+        # x_(i+1) x_(i+2).
+        model = AnnulusModel(bound=11)
+        lam = model.form.matrix
+        steps = [(0, 0), (0, 1), (1, 0), (1, 1), (0, 2), (0, 3), (1, 2)]
+        pairs = {(i + s, i + t) for i in range(-8, 9) for s, t in steps}
+        largest = 0
+        for i, j in pairs:
+            got = self.assert_matches_oracle(model.x(i)._terms, model.x(j)._terms, lam)
+            largest = max(largest, *(abs(n) for c in got.values() for n in c.values()))
+        assert largest == 15342
 
     def test_rank_zero_and_empty(self):
         assert torus_mul({}, {}, ()) == {}
